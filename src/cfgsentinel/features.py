@@ -8,12 +8,12 @@ shortest-path lengths, followed by density, edge count, and node count.
 from __future__ import annotations
 
 import statistics
-from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Cfg, out_adjacency
+from .graph import Cfg
 
 _BLOCKS = ("betweenness", "closeness", "degree", "shortest_path")
 _STATS = ("min", "max", "median", "mean", "std")
@@ -49,25 +49,67 @@ def degree_centrality(g: Cfg) -> dict[int, float]:
     """(in-degree + out-degree) / (|V| - 1) per node; a self-loop adds one
     to each of the two degrees.  Zero for a single-node graph."""
     n = g.node_count
-    deg = {i: 0 for i, _ in g.nodes}
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    view = g.view
     if n <= 1:
-        return {i: 0.0 for i in deg}
-    return {i: d / (n - 1) for i, d in deg.items()}
+        return {i: 0.0 for i in view.ids}
+    return {i: (view.outdeg[i] + view.indeg[i]) / (n - 1) for i in view.ids}
 
 
-def _bfs_distances(adj: dict[int, tuple[int, ...]], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
+@dataclass(frozen=True)
+class _Paths:
+    betweenness: dict[int, float]
+    closeness: dict[int, float]
+    lengths: list[int]
+
+
+def _shortest_paths(g: Cfg) -> _Paths:
+    """One Brandes pass (BFS with path counting, then dependency
+    accumulation) per source, in document order.  Each BFS also gives the
+    source's closeness and its finite path lengths, in visiting order."""
+    view = g.view
+    nodes = view.ids
+    n = len(nodes)
+    index = {v: k for k, v in enumerate(nodes)}
+    adj = [[index[w] for w in view.succ[v]] for v in nodes]
+    bc = [0.0] * n
+    closeness: dict[int, float] = {}
+    lengths: list[int] = []
+    for s in range(n):
+        # single-source shortest paths with path counting
+        dist = [-1] * n
+        sigma = [0.0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        # `order` is both the visiting order and the BFS queue: iterating a
+        # list reaches the entries appended during the loop
+        order = [s]
+        for u in order:
+            d = dist[u] + 1
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    order.append(w)
+                if dist[w] == d:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        reached = [dist[w] for w in order[1:]]
+        lengths.extend(reached)
+        r = len(reached)
+        closeness[nodes[s]] = 0.0 if r == 0 else (r / (n - 1)) * (r / sum(reached))
+        # dependency accumulation
+        delta = [0.0] * n
+        for w in reversed(order):
+            for u in preds[w]:
+                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    if n < 3:
+        betweenness = {v: 0.0 for v in nodes}
+    else:
+        norm = (n - 1) * (n - 2)
+        betweenness = {v: bc[k] / norm for k, v in enumerate(nodes)}
+    return _Paths(betweenness, closeness, lengths)
 
 
 def closeness_centrality(g: Cfg) -> dict[int, float]:
@@ -77,81 +119,32 @@ def closeness_centrality(g: Cfg) -> dict[int, float]:
     total distance T: closeness = (r / (|V| - 1)) * (r / T), and 0 when
     nothing is reachable.
     """
-    n = g.node_count
-    adj = out_adjacency(g)
-    out = {}
-    for v, _ in g.nodes:
-        dist = _bfs_distances(adj, v)
-        r = len(dist) - 1
-        if r == 0 or n <= 1:
-            out[v] = 0.0
-        else:
-            total = sum(d for w, d in dist.items() if w != v)
-            out[v] = (r / (n - 1)) * (r / total)
-    return out
+    return _shortest_paths(g).closeness
 
 
 def betweenness_centrality(g: Cfg) -> dict[int, float]:
     """Directed shortest-path betweenness (Brandes), endpoints excluded,
     normalized by (|V|-1)(|V|-2).  All zeros when |V| < 3."""
-    n = g.node_count
-    nodes = [i for i, _ in g.nodes]
-    bc = {v: 0.0 for v in nodes}
-    if n < 3:
-        return bc
-    adj = out_adjacency(g)
-    for s in nodes:
-        # single-source shortest paths with path counting
-        dist = {v: -1 for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        preds: dict[int, list[int]] = {v: [] for v in nodes}
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = []
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            order.append(u)
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-                if dist[w] == dist[u] + 1:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        # dependency accumulation
-        delta = {v: 0.0 for v in nodes}
-        for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    norm = (n - 1) * (n - 2)
-    return {v: b / norm for v, b in bc.items()}
+    return _shortest_paths(g).betweenness
 
 
 def shortest_path_lengths(g: Cfg) -> list[int]:
     """All finite directed shortest-path lengths d(u, v) with u != v."""
-    adj = out_adjacency(g)
-    out = []
-    for v, _ in g.nodes:
-        dist = _bfs_distances(adj, v)
-        out.extend(d for w, d in dist.items() if w != v)
-    return out
+    return _shortest_paths(g).lengths
 
 
 def extract_features(g: Cfg) -> np.ndarray:
     """23-entry feature vector in the documented layout (float64)."""
+    paths = _shortest_paths(g)
     per_node = [
-        list(betweenness_centrality(g).values()),
-        list(closeness_centrality(g).values()),
+        list(paths.betweenness.values()),
+        list(paths.closeness.values()),
         list(degree_centrality(g).values()),
     ]
     vec: list[float] = []
     for values in per_node:
         vec.extend(summary_stats(values))
-    paths = shortest_path_lengths(g)
-    vec.extend(summary_stats(paths) if paths else (0.0,) * 5)
+    vec.extend(summary_stats(paths.lengths) if paths.lengths else (0.0,) * 5)
     vec.append(density(g))
     vec.append(float(g.edge_count))
     vec.append(float(g.node_count))

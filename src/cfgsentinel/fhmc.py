@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -62,10 +63,9 @@ def coverage_scores(
         for sid in s:
             if sid in occurrence:
                 occurrence[sid] += 1
-    out = []
-    for s in supp:
-        out.append(sum(1.0 / occurrence[sid] for sid in s if sid in occurrence))
-    return out
+    # sum in id order: set order follows the string hash seed, and float
+    # addition is not associative
+    return [sum(1.0 / occurrence[sid] for sid in sorted(s) if sid in occurrence) for s in supp]
 
 
 def _minmax(values: Sequence[float]) -> list[float]:
@@ -85,23 +85,22 @@ class RankedPattern:
     rank_score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankedPatternSet:
     """Top-K patterns per family plus the flattened global order (families
-    in fixed order, then rank order) used for bit encoding."""
+    in fixed order, then rank order) used for bit encoding.  The flat order
+    and its graphs are built on first use; `per_family` is not changed after
+    construction."""
 
     per_family: dict[str, list[RankedPattern]]
 
-    @property
-    def flat(self) -> list[RankedPattern]:
-        out = []
-        for fam in FAMILY_CLASSES:
-            out.extend(self.per_family.get(fam, []))
-        return out
+    @cached_property
+    def flat(self) -> tuple[RankedPattern, ...]:
+        return tuple(rp for fam in FAMILY_CLASSES for rp in self.per_family.get(fam, []))
 
-    @property
-    def graphs(self) -> list[Cfg]:
-        return [rp.pattern.graph for rp in self.flat]
+    @cached_property
+    def graphs(self) -> tuple[Cfg, ...]:
+        return tuple(rp.pattern.graph for rp in self.flat)
 
     def __len__(self) -> int:
         return len(self.flat)

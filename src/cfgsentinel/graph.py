@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -88,6 +90,46 @@ class Cfg:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def view(self) -> "GraphView":
+        """Adjacency view, built on first use and kept for the graph's
+        lifetime (the graph is immutable, so it never goes stale)."""
+        return GraphView(self)
+
+
+class GraphView:
+    """The one adjacency representation of a Cfg.
+
+    ids: node ids in document order.  labels: id -> label.  succ / pred:
+    id -> sorted successor / predecessor tuple.  outdeg / indeg: id -> degree
+    (a self-loop counts once in each).  label_counts: label -> node count.
+    by_label: label -> ids with that label, in document order.  plan: the
+    compiled match plan when the graph is used as a pattern (set by the
+    isomorphism module).
+    """
+
+    __slots__ = ("ids", "labels", "succ", "pred", "outdeg", "indeg",
+                 "label_counts", "by_label", "plan")
+
+    def __init__(self, g: Cfg):
+        self.ids = tuple(i for i, _ in g.nodes)
+        self.labels = dict(g.nodes)
+        succ: dict[int, list[int]] = {i: [] for i in self.ids}
+        pred: dict[int, list[int]] = {i: [] for i in self.ids}
+        for u, v in g.edges:
+            succ[u].append(v)
+            pred[v].append(u)
+        self.succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
+        self.pred = {v: tuple(sorted(us)) for v, us in pred.items()}
+        self.outdeg = {u: len(vs) for u, vs in self.succ.items()}
+        self.indeg = {v: len(us) for v, us in self.pred.items()}
+        self.label_counts = Counter(self.labels.values())
+        by_label: dict[int, list[int]] = {}
+        for i, lab in g.nodes:
+            by_label.setdefault(lab, []).append(i)
+        self.by_label = {lab: tuple(ids) for lab, ids in by_label.items()}
+        self.plan = None
+
 
 def _validate(g: Cfg) -> None:
     if not g.nodes:
@@ -117,18 +159,12 @@ def _validate(g: Cfg) -> None:
 
 def out_adjacency(g: Cfg) -> dict[int, tuple[int, ...]]:
     """Successor lists, sorted, one entry per node (possibly empty)."""
-    adj: dict[int, list[int]] = {i: [] for i, _ in g.nodes}
-    for u, v in g.edges:
-        adj[u].append(v)
-    return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+    return dict(g.view.succ)
 
 
 def in_adjacency(g: Cfg) -> dict[int, tuple[int, ...]]:
     """Predecessor lists, sorted, one entry per node (possibly empty)."""
-    adj: dict[int, list[int]] = {i: [] for i, _ in g.nodes}
-    for u, v in g.edges:
-        adj[v].append(u)
-    return {v: tuple(sorted(us)) for v, us in adj.items()}
+    return dict(g.view.pred)
 
 
 # ---------------------------------------------------------------------------

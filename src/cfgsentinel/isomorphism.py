@@ -6,47 +6,19 @@ nodes, and look-ahead degree/label checks prune the search.  A mapping m
 is a match when it is injective, label-preserving, and every pattern edge
 (u, v) has (m(u), m(v)) in the host.  Host edges outside the image are not
 constrained.
+
+Each pattern is compiled once into a match plan, kept on its graph view
+(`Cfg.view.plan`) and reused against every host.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import NamedTuple
 
-from .graph import Cfg
-
-
-class _GraphView:
-    __slots__ = ("ids", "labels", "out", "inn", "outdeg", "indeg", "label_counts")
-
-    def __init__(self, g: Cfg):
-        self.ids = [i for i, _ in g.nodes]
-        self.labels = dict(g.nodes)
-        self.out: dict[int, set[int]] = {i: set() for i in self.ids}
-        self.inn: dict[int, set[int]] = {i: set() for i in self.ids}
-        for u, v in g.edges:
-            self.out[u].add(v)
-            self.inn[v].add(u)
-        self.outdeg = {i: len(self.out[i]) for i in self.ids}
-        self.indeg = {i: len(self.inn[i]) for i in self.ids}
-        self.label_counts = Counter(self.labels.values())
+from .graph import Cfg, GraphView
 
 
-_view_cache: dict[int, tuple[Cfg, _GraphView]] = {}
-
-
-def _view(g: Cfg) -> _GraphView:
-    key = id(g)
-    hit = _view_cache.get(key)
-    if hit is not None and hit[0] is g:
-        return hit[1]
-    v = _GraphView(g)
-    if len(_view_cache) > 2048:
-        _view_cache.clear()
-    _view_cache[key] = (g, v)
-    return v
-
-
-def _pattern_order(p: _GraphView) -> list[int]:
+def _pattern_order(p: GraphView) -> list[int]:
     """Match order: start at the highest-degree node, then prefer nodes
     connected to the already-ordered prefix."""
     def deg(i):
@@ -59,7 +31,7 @@ def _pattern_order(p: _GraphView) -> list[int]:
     while remaining:
         frontier = [
             i for i in remaining
-            if (p.out[i] | p.inn[i]) & set(order)
+            if (set(p.succ[i]) | set(p.pred[i])) & set(order)
         ]
         pool = frontier if frontier else list(remaining)
         nxt = max(pool, key=lambda i: (deg(i), p.labels[i], -i))
@@ -68,11 +40,39 @@ def _pattern_order(p: _GraphView) -> list[int]:
     return order
 
 
-def _match(pattern: Cfg, host: Cfg, limit: int | None) -> int:
+class _Step(NamedTuple):
+    """One position of a match plan.  Neighbour references are positions
+    in the plan, all earlier than this one."""
+
+    label: int
+    outdeg: int
+    indeg: int
+    loop: bool                 # the pattern node has a self-loop
+    prior_out: tuple[int, ...]  # mapped q with edge n -> q
+    prior_in: tuple[int, ...]   # mapped q with edge q -> n
+
+
+def _compile(p: GraphView) -> tuple[_Step, ...]:
+    order = _pattern_order(p)
+    pos = {n: k for k, n in enumerate(order)}
+    return tuple(
+        _Step(
+            label=p.labels[n],
+            outdeg=p.outdeg[n],
+            indeg=p.indeg[n],
+            loop=n in p.succ[n],
+            prior_out=tuple(pos[q] for q in p.succ[n] if pos[q] < k),
+            prior_in=tuple(pos[q] for q in p.pred[n] if pos[q] < k),
+        )
+        for k, n in enumerate(order)
+    )
+
+
+def _match(pattern: Cfg, host: Cfg, limit: int) -> int:
     """Count label- and edge-preserving injective mappings, stopping early
     once `limit` is reached (limit=1 gives a containment test)."""
-    p = _view(pattern)
-    h = _view(host)
+    p = pattern.view
+    h = host.view
     if len(p.ids) > len(h.ids):
         return 0
     # necessary condition: enough host nodes of every pattern label
@@ -80,58 +80,52 @@ def _match(pattern: Cfg, host: Cfg, limit: int | None) -> int:
         if h.label_counts.get(lab, 0) < cnt:
             return 0
 
-    order = _pattern_order(p)
-    pos = {n: k for k, n in enumerate(order)}
-    # for each pattern node, its already-ordered neighbors (direction kept)
-    prior_out = []  # mapped q with edge n -> q
-    prior_in = []   # mapped q with edge q -> n
-    for k, n in enumerate(order):
-        prior_out.append([q for q in p.out[n] if pos[q] < k])
-        prior_in.append([q for q in p.inn[n] if pos[q] < k])
-
-    mapping: dict[int, int] = {}
+    if p.plan is None:
+        p.plan = _compile(p)
+    plan = p.plan
+    size = len(plan)
+    edges = host.edges
+    labels, outdeg, indeg = h.labels, h.outdeg, h.indeg
+    succ, pred, by_label = h.succ, h.pred, h.by_label
+    mapping = [0] * size  # host node of each plan position
     used: set[int] = set()
     found = 0
 
-    def candidates(k: int):
-        # derive from a mapped neighbor's host adjacency when available
-        if prior_out[k]:
-            return h.inn[mapping[prior_out[k][0]]]
-        if prior_in[k]:
-            return h.out[mapping[prior_in[k][0]]]
-        return h.ids
-
-    def feasible(k: int, cand: int) -> bool:
-        n = order[k]
-        if cand in used or h.labels[cand] != p.labels[n]:
-            return False
-        if h.outdeg[cand] < p.outdeg[n] or h.indeg[cand] < p.indeg[n]:
-            return False
-        if n in p.out[n] and cand not in h.out[cand]:
-            return False
-        for q in prior_out[k]:
-            if mapping[q] not in h.out[cand]:
-                return False
-        for q in prior_in[k]:
-            if mapping[q] not in h.inn[cand]:
-                return False
-        return True
-
     def backtrack(k: int) -> bool:
         nonlocal found
-        if k == len(order):
+        if k == size:
             found += 1
-            return limit is not None and found >= limit
-        n = order[k]
-        for cand in candidates(k):
-            if feasible(k, cand):
-                mapping[n] = cand
-                used.add(cand)
-                done = backtrack(k + 1)
-                used.discard(cand)
-                del mapping[n]
-                if done:
-                    return True
+            return found >= limit
+        label, odeg, ideg, loop, prior_out, prior_in = plan[k]
+        # derive candidates from a mapped neighbor's host adjacency when
+        # available, otherwise from the host nodes carrying the label
+        if prior_out:
+            cands = pred[mapping[prior_out[0]]]
+        elif prior_in:
+            cands = succ[mapping[prior_in[0]]]
+        else:
+            cands = by_label[label]
+        for cand in cands:
+            if (cand in used or labels[cand] != label
+                    or outdeg[cand] < odeg or indeg[cand] < ideg
+                    or (loop and (cand, cand) not in edges)):
+                continue
+            # every pattern edge to an earlier position needs its host edge;
+            # the innermost else runs only when no check broke out
+            for q in prior_out:
+                if (cand, mapping[q]) not in edges:
+                    break
+            else:
+                for q in prior_in:
+                    if (mapping[q], cand) not in edges:
+                        break
+                else:
+                    mapping[k] = cand
+                    used.add(cand)
+                    done = backtrack(k + 1)
+                    used.discard(cand)
+                    if done:
+                        return True
         return False
 
     backtrack(0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,16 @@ def tiny_cfg(rng: np.random.Generator, max_nodes=6, n_labels=2) -> Cfg:
     """Very small graph for exhaustive oracles."""
     return random_cfg(rng, n_lo=1, n_hi=max_nodes, p=1.2, n_labels=n_labels,
                       self_loops=bool(rng.random() < 0.3))
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """Environment for a child Python that imports the package under test."""
+    import cfgsentinel
+
+    src = str(Path(cfgsentinel.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 plus the documented exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from cfgsentinel.cli import (
 from cfgsentinel.features import FEATURE_COUNT
 from cfgsentinel.graph import SampleClass, read_corpus
 
-from conftest import TINY_INI
+from conftest import TINY_INI, subprocess_env
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,27 @@ def test_pipeline_verdicts(ws, capsys):
     assert verdicts <= {"Benign", "Malware", "Suspicious"}
     summary = json.loads(capsys.readouterr().out)
     assert "verdicts" in summary
+
+
+def test_repro_byte_identical_across_processes(tmp_path):
+    # string hashing is salted per process; nothing written may depend on it
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI)
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from cfgsentinel.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "repro", "--config", str(ini), "--seed", "4", "--out", str(out)],
+            env=subprocess_env(PYTHONHASHSEED=hash_seed),
+            capture_output=True, check=True,
+        )
+        trees.append({
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        })
+    assert trees[0] == trees[1]
 
 
 def test_repro_writes_artifact_tree(ws):

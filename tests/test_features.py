@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +175,21 @@ class TestExtractFeatures:
                 exits=frozenset(ren[x] for x in g.exits),
             )
             assert extract_features(g) == pytest.approx(extract_features(g2))
+
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev rounds differently before 3.11")
+    def test_golden_digest(self):
+        # sha256 of the feature bytes of 40 seeded graphs (with and without
+        # self-loops), recorded before the single-pass rewrite: the vectors
+        # must stay bit-identical
+        rng = np.random.default_rng(20240817)
+        h = hashlib.sha256()
+        for k in range(40):
+            g = random_cfg(rng, n_lo=1, n_hi=30, p=1.5, n_labels=4, self_loops=bool(k % 2))
+            h.update(extract_features(g).tobytes())
+        assert h.hexdigest() == (
+            "564b667309127833aa8e973f7fb24434089371c561ccea30e065ad60a24ca9da")
 
 
 class TestCsv:

@@ -2,6 +2,8 @@
 two-stage classification pipeline."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from cfgsentinel.graph import LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
 from cfgsentinel.mining import Pattern, canonical_dfs_code
 
-from conftest import path_graph, random_cfg
+from conftest import path_graph, random_cfg, subprocess_env
 
 
 def sample(sid, cfg, cls=SampleClass.FAMILY_A):
@@ -76,6 +78,35 @@ def test_coverage_scores_weight_rare_samples():
 def test_coverage_scores_ignore_foreign_ids():
     p = pattern_of(chain([1, 1]), {"F": 1}, {"F": frozenset({"zz"})})
     assert coverage_scores([p], "F", ["a", "b"]) == [0.0]
+
+
+_COVERAGE_PROGRAM = """
+from cfgsentinel.fhmc import coverage_scores
+from cfgsentinel.graph import Cfg
+from cfgsentinel.mining import Pattern, canonical_dfs_code
+ids = [f"s{i:02d}" for i in range(30)]
+pats = []
+for k in range(8):
+    g = Cfg(nodes=((0, k), (1, k)), edges=frozenset({(0, 1)}), entry=0, exits=frozenset({1}))
+    supp = frozenset(s for j, s in enumerate(ids) if k == 0 or j % (k + 1) == 0)
+    pats.append(Pattern(code=canonical_dfs_code(g), graph=g, support={"F": 1},
+                        node_count=2, supporting_ids={"F": supp}))
+print(repr(coverage_scores(pats, "F", ids)))
+"""
+
+
+def test_coverage_scores_independent_of_hash_seed():
+    # 1/occurrence summed in set order differs in the last bits between
+    # string hash seeds; the sum runs in id order instead
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", _COVERAGE_PROGRAM],
+            env=subprocess_env(PYTHONHASHSEED=str(seed)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(1, 6)
+    }
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +214,9 @@ def test_flat_follows_family_order():
     assert [rp.family for rp in rs.flat] == ["FamilyA", "FamilyC"]
     assert len(rs) == 2
     assert [g.node_count for g in rs.graphs] == [2, 2]
+    # built once, not on every encode call or len()
+    assert rs.flat is rs.flat
+    assert rs.graphs is rs.graphs
 
 
 def _rp(pattern, family, score=0.0):

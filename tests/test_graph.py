@@ -97,6 +97,45 @@ class TestAdjacency:
         assert in_adjacency(g)[1] == (0, 2)
         assert out_adjacency(g)[1] == ()
 
+    def test_matches_edge_list_construction(self, rng):
+        for _ in range(100):
+            g = random_cfg(rng, n_lo=1, n_hi=12, self_loops=True)
+            succ = {i: [] for i in g.node_ids}
+            pred = {i: [] for i in g.node_ids}
+            for u, v in g.edges:
+                succ[u].append(v)
+                pred[v].append(u)
+            for got, want in ((out_adjacency(g), succ), (in_adjacency(g), pred)):
+                assert list(got) == list(g.node_ids)
+                assert got == {i: tuple(sorted(vs)) for i, vs in want.items()}
+
+    def test_adjacency_copies_leave_view_intact(self):
+        g = make([(0, 0), (1, 0)], [(0, 1)])
+        out_adjacency(g)[0] = ()
+        assert out_adjacency(g)[0] == (1,)
+
+
+class TestView:
+    def test_fields(self):
+        g = make([(3, 1), (0, 2), (5, 1)], [(3, 0), (0, 5), (5, 5)], entry=3, exits={5})
+        v = g.view
+        assert v.ids == (3, 0, 5)
+        assert v.labels == {3: 1, 0: 2, 5: 1}
+        assert v.succ == {3: (0,), 0: (5,), 5: (5,)}
+        assert v.pred == {3: (), 0: (3,), 5: (0, 5)}
+        assert v.outdeg == {3: 1, 0: 1, 5: 1}
+        assert v.indeg == {3: 0, 0: 1, 5: 2}
+        assert v.label_counts == {1: 2, 2: 1}
+        assert v.by_label == {1: (3, 5), 2: (0,)}
+        assert v.plan is None
+
+    def test_built_once_and_outside_identity(self):
+        a = make([(0, 0), (1, 0)], [(0, 1)], exits={1})
+        b = make([(1, 0), (0, 0)], [(0, 1)], exits={1})
+        assert a.view is a.view
+        assert a == b and hash(a) == hash(b)
+        assert serialize_graph(a) == serialize_graph(b)
+
 
 class TestSerialization:
     def test_round_trip_identity(self, rng):

@@ -1,8 +1,10 @@
-import numpy as np
+import gc
+import weakref
+
 import pytest
 
 from cfgsentinel.graph import Cfg
-from cfgsentinel.isomorphism import is_subgraph, match_count
+from cfgsentinel.isomorphism import _compile, is_subgraph, match_count
 from conftest import path_graph, random_cfg, tiny_cfg
 import oracles
 
@@ -112,3 +114,64 @@ class TestAgainstExhaustive:
             h2 = Cfg(nodes=h.nodes, edges=frozenset(extra), entry=h.entry,
                      exits=h.exits)
             assert match_count(p, h2) >= base
+
+
+def disjoint_union(*parts):
+    """One graph made of the given graphs side by side (ids shifted)."""
+    nodes, edges, exits, shift = [], set(), set(), 0
+    for part in parts:
+        nodes += [(i + shift, lab) for i, lab in part.nodes]
+        edges |= {(u + shift, v + shift) for u, v in part.edges}
+        exits |= {x + shift for x in part.exits}
+        shift += max(part.node_ids) + 1
+    return Cfg(nodes=tuple(nodes), edges=frozenset(edges), entry=0,
+               exits=frozenset(exits))
+
+
+class TestCompiledPlan:
+    def test_disconnected_and_self_loop_patterns_agree(self, rng):
+        unanchored = loops = 0
+        for _ in range(300):
+            p = disjoint_union(*(tiny_cfg(rng, max_nodes=3, n_labels=2)
+                                 for _ in range(int(rng.integers(1, 4)))))
+            h = tiny_cfg(rng, max_nodes=7, n_labels=2)
+            plan = _compile(p.view)
+            unanchored += any(not s.prior_out and not s.prior_in for s in plan[1:])
+            loops += any(s.loop for s in plan)
+            want = len(oracles.exhaustive_monomorphisms(p, h))
+            assert match_count(p, h) == want, (p, h)
+            assert is_subgraph(p, h) == (want > 0)
+        # the sample exercises label-drawn candidates after position 0
+        # and self-loop checks
+        assert unanchored > 50 and loops > 50
+
+    def test_pattern_reused_across_label_sets(self, rng):
+        p = disjoint_union(tiny_cfg(rng, max_nodes=4, n_labels=3),
+                           tiny_cfg(rng, max_nodes=2, n_labels=3))
+        for _ in range(150):
+            h = tiny_cfg(rng, max_nodes=7, n_labels=int(rng.integers(1, 5)))
+            want = len(oracles.exhaustive_monomorphisms(p, h))
+            assert is_subgraph(p, h) == (want > 0)
+            assert match_count(p, h) == want
+            assert match_count(p, h, limit=2) == min(want, 2)
+
+    def test_plan_compiled_once_per_pattern(self):
+        p = path_graph((0, 1))
+        host = path_graph((0, 1, 0, 1))
+        assert is_subgraph(p, host)
+        plan = p.view.plan
+        assert plan is not None
+        assert match_count(p, host) == 2
+        assert p.view.plan is plan
+
+    def test_graphs_are_collected_once_dropped(self, rng):
+        from cfgsentinel.features import extract_features
+
+        p = path_graph((0, 0))
+        h = random_cfg(rng, n_lo=5, n_hi=8, n_labels=1)
+        assert is_subgraph(p, h)
+        extract_features(h)
+        refs = [weakref.ref(p), weakref.ref(h)]
+        del p, h
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
