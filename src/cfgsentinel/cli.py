@@ -2,7 +2,8 @@
 
 Subcommands: gen, features, train, eval, mine, rank, encode, attack,
 pipeline, repro.  Every subcommand accepts --seed, --config (INI file with
-per-module sections), and --out.  Exit codes: 0 success, 2 usage error,
+per-module sections, checked against `experiment.DEFAULTS` before the
+subcommand runs), and --out.  Exit codes: 0 success, 2 usage error,
 3 missing input file, 4 invalid configuration, 5 data or runtime error.
 """
 
@@ -13,8 +14,6 @@ import configparser
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import adversarial, corpus, experiment, features, fhmc, mining, nn
 from .graph import (
@@ -46,9 +45,9 @@ def _read_sections(path: str | None) -> dict[str, dict[str, str]]:
     parser.optionxform = str  # keys like familyA_count are case-sensitive
     try:
         parser.read_string(p.read_text())
-    except configparser.Error as e:
+        return {sec: dict(parser[sec]) for sec in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise corpus.CorpusError(f"bad config file: {e}") from None
-    return {sec: dict(parser[sec]) for sec in parser.sections()}
 
 
 def _load_corpus(manifest: str):
@@ -62,8 +61,14 @@ def _load_splits(path: str) -> tuple[list[str], list[str]]:
     p = Path(path)
     if not p.exists():
         raise MissingInput(f"splits file not found: {path}")
-    doc = json.loads(p.read_text())
-    return list(doc["train"]), list(doc["test"])
+    try:
+        doc = json.loads(p.read_text())
+        ids = doc["train"], doc["test"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise GraphError(f"bad splits file {path}: {e!r}") from None
+    if not all(isinstance(part, list) and all(isinstance(i, str) for i in part) for part in ids):
+        raise GraphError(f"bad splits file {path}: train and test must be lists of sample ids")
+    return ids
 
 
 def _split_samples(samples, splits_path: str):
@@ -82,25 +87,19 @@ def _load_model(path: str) -> nn.Model:
     return nn.load_checkpoint(p)
 
 
-def _feature_matrix(samples):
-    return np.stack([features.extract_features(s.cfg) for s in samples])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    sections = _read_sections(args.config)
-    items = dict(sections.get("corpus", {}))
+def cmd_gen(args, cfg) -> int:
+    items = dict(cfg["corpus"])
     if args.seed is not None:
         items["seed"] = str(args.seed)
-    cfg = corpus.config_from_mapping(items)
-    samples = corpus.generate(cfg)
+    ccfg = corpus.config_from_mapping(items)
+    samples = corpus.generate(ccfg)
     out = Path(args.out)
     manifest = write_corpus(samples, out)
-    fraction = float(sections.get("split", {}).get("train_fraction", "0.8"))
-    train_s, test_s = corpus.split(samples, fraction, cfg.seed)
+    train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], ccfg.seed)
     (out / "splits.json").write_text(
         json.dumps(
             {"train": [s.id for s in train_s], "test": [s.id for s in test_s]},
@@ -111,7 +110,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_features(args) -> int:
+def cmd_features(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     rows = [(s.id, features.extract_features(s.cfg)) for s in samples]
     csv_text = features.features_to_csv(rows)
@@ -122,37 +121,14 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _task_labels(samples, task: str):
-    if task == "detector":
-        names = fhmc.DETECTOR_CLASSES
-        y = [0 if s.cls is SampleClass.BENIGN else 1 for s in samples]
-        keep = samples
-    elif task == "classifier":
-        names = fhmc.FAMILY_CLASSES
-        fam_index = {f.value: i for i, f in enumerate(FAMILIES)}
-        keep = [s for s in samples if s.cls is not SampleClass.BENIGN]
-        y = [fam_index[s.cls.value] for s in keep]
-    else:
-        raise corpus.CorpusError(f"unknown task: {task!r}")
-    return keep, names, np.array(y)
-
-
-def cmd_train(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_train(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     if args.splits:
         samples, _ = _split_samples(samples, args.splits)
-    keep, names, y = _task_labels(samples, args.task)
-    X = _feature_matrix(keep)
-    sec = sections.get("train", {})
-    model = nn.train(
-        X, y, names,
-        arch=args.arch or sec.get("arch", "cnn"),
-        seed=args.seed if args.seed is not None else int(sec.get("seed", "0")),
-        epochs=int(sec.get("epochs", "100")),
-        batch_size=int(sec.get("batch_size", "32")),
-        lr=float(sec.get("lr", "0.001")),
-    )
+    keep, names, y = experiment.task_labels(samples, args.task)
+    X = experiment.feature_matrix(keep)
+    train = dict(cfg["train"], arch=args.arch or cfg["train"]["arch"])
+    model = nn.train(X, y, names, seed=args.seed if args.seed is not None else 0, **train)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     nn.save_checkpoint(model, out)
@@ -161,16 +137,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg) -> int:
     model = _load_model(args.model)
     samples = _load_corpus(args.corpus)
     if args.splits:
-        _, samples = _split_samples(_load_corpus(args.corpus), args.splits)
+        _, samples = _split_samples(samples, args.splits)
     task = "detector" if tuple(model.class_names) == fhmc.DETECTOR_CLASSES else "classifier"
-    keep, names, y = _task_labels(samples, task)
+    keep, names, y = experiment.task_labels(samples, task)
     if tuple(model.class_names) != names:
         raise corpus.CorpusError("model classes do not match task labels")
-    X = _feature_matrix(keep)
+    X = experiment.feature_matrix(keep)
     benign_index = 0 if task == "detector" else None
     metrics = nn.evaluate(model, X, y, benign_index=benign_index)
     text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
@@ -181,32 +157,28 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_mine(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_mine(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     if args.splits:
         samples, _ = _split_samples(samples, args.splits)
-    sec = sections.get("mining", {})
-    min_nodes = args.min_nodes or int(sec.get("min_nodes", "3"))
-    max_nodes = args.max_nodes or int(sec.get("max_nodes", "8"))
+    sec = cfg["mining"]
+    min_nodes = args.min_nodes or sec["min_nodes"]
+    max_nodes = args.max_nodes or sec["max_nodes"]
     if args.target:
         target = SampleClass.from_string(args.target)
         group = [s for s in samples if s.cls is target]
         if not group:
             raise corpus.CorpusError(f"no samples of class {args.target}")
+        min_support = args.min_support or fhmc.support_floor(len(group), sec["support_fraction"])
         if args.discriminative:
             patterns = mining.select_discriminative(
-                samples, target,
-                min_support=args.min_support
-                or fhmc.support_floor(len(group), float(sec.get("support_fraction", "0.05"))),
+                samples, target, min_support=min_support,
                 min_nodes=min_nodes, max_nodes=max_nodes,
                 top_k=args.top_k,
             )
         else:
             patterns = mining.gspan_mine(
-                [s.cfg for s in group],
-                min_support=args.min_support
-                or fhmc.support_floor(len(group), float(sec.get("support_fraction", "0.05"))),
+                [s.cfg for s in group], min_support=min_support,
                 min_nodes=min_nodes, max_nodes=max_nodes,
                 classes=[target.value] * len(group),
                 sample_ids=[s.id for s in group],
@@ -226,11 +198,9 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_rank(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     train_s, _ = _split_samples(samples, args.splits) if args.splits else (list(samples), [])
-    sec = sections.get("rank", {})
     candidates = {}
     for fam, path in zip([f.value for f in FAMILIES], args.patterns):
         p = Path(path)
@@ -239,12 +209,8 @@ def cmd_rank(args) -> int:
         candidates[fam] = mining.read_patterns(p)
     benign_train = [s for s in train_s if s.cls is SampleClass.BENIGN]
     family_train = {f.value: [s for s in train_s if s.cls is f] for f in FAMILIES}
-    ranked = fhmc.rank_patterns(
-        candidates, family_train, benign_train,
-        k=args.k or int(sec.get("k", str(fhmc.DEFAULT_TOP_K))),
-        benign_ceiling=int(sec.get("benign_ceiling", str(fhmc.DEFAULT_BENIGN_CEILING))),
-        support_fraction=float(sec.get("support_fraction", "0.05")),
-    )
+    rank = dict(cfg["rank"], k=args.k or cfg["rank"]["k"])
+    ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **rank)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fhmc.write_ranked(ranked, out)
@@ -252,15 +218,13 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def cmd_encode(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_encode(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     ranked_path = Path(args.ranked)
     if not ranked_path.exists():
         raise MissingInput(f"ranked pattern file not found: {args.ranked}")
     ranked = fhmc.read_ranked(ranked_path)
-    budget = float(sections.get("encode", {}).get("budget_seconds", "60"))
-    bits = fhmc.encode_many(samples, ranked, budget)
+    bits = fhmc.encode_many(samples, ranked, cfg["encode"]["budget_seconds"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(fhmc.encodings_to_csv([s.id for s in samples], bits))
@@ -268,7 +232,7 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args, cfg) -> int:
     model = _load_model(args.model)
     samples = _load_corpus(args.corpus)
     train_s, test_s = _split_samples(samples, args.splits)
@@ -303,8 +267,7 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_pipeline(args, cfg) -> int:
     detector = _load_model(args.detector)
     classifier = _load_model(args.classifier)
     sbd = _load_model(args.sbd)
@@ -314,8 +277,8 @@ def cmd_pipeline(args) -> int:
     ranked = fhmc.read_ranked(ranked_path)
     samples = _load_corpus(args.corpus)
     if args.splits:
-        _, samples = _split_samples(_load_corpus(args.corpus), args.splits)
-    budget = float(sections.get("encode", {}).get("budget_seconds", "60"))
+        _, samples = _split_samples(samples, args.splits)
+    budget = cfg["encode"]["budget_seconds"]
     verdicts = [
         fhmc.classify_pipeline(s.cfg, detector, classifier, sbd, ranked, budget)
         for s in samples
@@ -330,10 +293,9 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def cmd_repro(args) -> int:
-    sections = _read_sections(args.config)
+def cmd_repro(args, cfg) -> int:
     seed = args.seed if args.seed is not None else 0
-    experiment.run(args.out, seed, sections, include_timing=False)
+    experiment.run(args.out, seed, cfg, include_timing=False)
     print(f"experiment artifacts written to {args.out}")
     return EXIT_OK
 
@@ -447,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        return args.fn(args, experiment.settings(_read_sections(args.config)))
     except MissingInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -16,19 +16,78 @@ import numpy as np
 from . import adversarial, corpus, features, fhmc, mining, nn
 from .graph import FAMILIES, LabeledSample, SampleClass, write_corpus
 
-Sections = Mapping[str, Mapping[str, str]]
+Sections = Mapping[str, Mapping[str, object]]
+
+# The INI schema of `run` and the CLI: section -> key -> default.  A value is
+# parsed with its default's type; `[corpus]` items are checked by
+# `corpus.config_from_mapping` instead.
+DEFAULTS: dict[str, dict[str, object]] = {
+    "split": {"train_fraction": 0.8},
+    "train": {"arch": "cnn", "epochs": 100, "batch_size": 32, "lr": 1e-3},
+    "mining": {
+        "min_nodes": fhmc.DEFAULT_MIN_NODES,
+        "max_nodes": fhmc.DEFAULT_MAX_NODES,
+        "support_fraction": 0.9,
+    },
+    "rank": {
+        "k": fhmc.DEFAULT_TOP_K,
+        "benign_ceiling": fhmc.DEFAULT_BENIGN_CEILING,
+        "support_fraction": 0.05,
+    },
+    "encode": {"budget_seconds": fhmc.DEFAULT_ENCODE_BUDGET},
+    "attack": {
+        "sgea_min_nodes": 5,
+        "sgea_max_nodes": 12,
+        "sgea_per_size": 16,
+        "sgea_support_fraction": 0.05,
+    },
+}
 
 
-def _get(sections: Sections, sec: str, key: str, default, cast=None):
-    try:
-        raw = sections[sec][key]
-    except KeyError:
-        return default
-    return cast(raw) if cast else raw
+def settings(sections: Sections) -> dict[str, dict[str, object]]:
+    """Every schema value: `sections` (INI strings, or values already of the
+    default's type) over `DEFAULTS`, plus the raw `[corpus]` items.  Raises
+    CorpusError on an unknown section or key or a value that does not parse."""
+    unknown = sorted(set(sections) - set(DEFAULTS) - {"corpus"})
+    if unknown:
+        raise corpus.CorpusError(f"unknown config section: [{unknown[0]}]")
+    corpus_items = dict(sections.get("corpus", {}))
+    corpus.config_from_mapping(corpus_items)
+    out: dict[str, dict[str, object]] = {"corpus": corpus_items}
+    for sec, defaults in DEFAULTS.items():
+        out[sec] = values = dict(defaults)
+        for key, raw in sections.get(sec, {}).items():
+            if key not in defaults:
+                raise corpus.CorpusError(f"unknown config key: [{sec}] {key}")
+            try:
+                values[key] = type(defaults[key])(raw)
+            except (TypeError, ValueError):
+                raise corpus.CorpusError(f"bad value for [{sec}] {key}: {raw!r}") from None
+    train = out["train"]
+    if train["arch"] not in nn.ARCHITECTURES:
+        raise corpus.CorpusError(f"bad value for [train] arch: {train['arch']!r}")
+    if train["epochs"] < 1 or train["batch_size"] < 1:
+        raise corpus.CorpusError("[train] epochs and batch_size must be >= 1")
+    return out
 
 
-def _feature_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
+def feature_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
+    """One feature row per sample, in order."""
     return np.stack([features.extract_features(s.cfg) for s in samples])
+
+
+def task_labels(samples: Sequence[LabeledSample], task: str):
+    """The samples a task learns from, its class names and its label vector:
+    "detector" is Benign (0) vs Malware (1) over every sample, "classifier"
+    the family index over the malware samples."""
+    if task == "detector":
+        y = [0 if s.cls is SampleClass.BENIGN else 1 for s in samples]
+        return samples, fhmc.DETECTOR_CLASSES, np.array(y)
+    if task != "classifier":
+        raise corpus.CorpusError(f"unknown task: {task!r}")
+    keep = [s for s in samples if s.cls is not SampleClass.BENIGN]
+    y = [fhmc.FAMILY_CLASSES.index(s.cls.value) for s in keep]
+    return keep, fhmc.FAMILY_CLASSES, np.array(y)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -37,28 +96,26 @@ def _write_json(path: Path, obj) -> None:
 
 
 def run(out: str | Path, seed: int, sections: Sections | None = None, include_timing: bool = False) -> dict:
-    """Run the full experiment under `out`; returns the in-memory results."""
-    sections = sections or {}
+    """Run the full experiment under `out` with the INI `sections` (checked
+    by `settings`); returns the in-memory results."""
+    cfg = settings(sections or {})
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
     # -- corpus ------------------------------------------------------------
-    corpus_items = dict(sections.get("corpus", {}))
-    corpus_items["seed"] = str(seed)
-    ccfg = corpus.config_from_mapping(corpus_items)
+    ccfg = corpus.config_from_mapping(dict(cfg["corpus"], seed=str(seed)))
     samples = corpus.generate(ccfg)
     write_corpus(samples, out / "corpus")
 
-    fraction = _get(sections, "split", "train_fraction", 0.8, float)
-    train_s, test_s = corpus.split(samples, fraction, seed)
+    train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], seed)
     _write_json(
         out / "splits.json",
         {"train": [s.id for s in train_s], "test": [s.id for s in test_s]},
     )
 
     # -- features ----------------------------------------------------------
-    X_train = _feature_matrix(train_s)
-    X_test = _feature_matrix(test_s)
+    X_train = feature_matrix(train_s)
+    X_test = feature_matrix(test_s)
     (out / "features").mkdir(exist_ok=True)
     (out / "features" / "train.csv").write_text(
         features.features_to_csv((s.id, x) for s, x in zip(train_s, X_train))
@@ -68,26 +125,16 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     )
 
     # -- detector and family classifier -------------------------------------
-    arch = _get(sections, "train", "arch", "cnn")
-    epochs = _get(sections, "train", "epochs", 100, int)
-    batch = _get(sections, "train", "batch_size", 32, int)
-    lr = _get(sections, "train", "lr", 1e-3, float)
+    train = cfg["train"]
+    _, _, y_det_train = task_labels(train_s, "detector")
+    _, _, y_det_test = task_labels(test_s, "detector")
+    detector = nn.train(X_train, y_det_train, fhmc.DETECTOR_CLASSES, seed=seed, **train)
 
-    y_det_train = np.array([0 if s.cls is SampleClass.BENIGN else 1 for s in train_s])
-    y_det_test = np.array([0 if s.cls is SampleClass.BENIGN else 1 for s in test_s])
-    detector = nn.train(
-        X_train, y_det_train, fhmc.DETECTOR_CLASSES, arch=arch,
-        seed=seed, epochs=epochs, batch_size=batch, lr=lr,
-    )
-
-    fam_index = {f.value: i for i, f in enumerate(FAMILIES)}
-    mal_train = [s for s in train_s if s.cls is not SampleClass.BENIGN]
-    mal_test = [s for s in test_s if s.cls is not SampleClass.BENIGN]
-    Xf_train = _feature_matrix(mal_train)
-    yf_train = np.array([fam_index[s.cls.value] for s in mal_train])
+    # The family classifier sees the malware rows of the detector's matrices.
+    _, _, yf_train = task_labels(train_s, "classifier")
+    mal_test, _, yf_test = task_labels(test_s, "classifier")
     classifier = nn.train(
-        Xf_train, yf_train, fhmc.FAMILY_CLASSES, arch=arch,
-        seed=seed + 1, epochs=epochs, batch_size=batch, lr=lr,
+        X_train[y_det_train == 1], yf_train, fhmc.FAMILY_CLASSES, seed=seed + 1, **train
     )
 
     models_dir = out / "models"
@@ -96,24 +143,12 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     nn.save_checkpoint(classifier, models_dir / "classifier.ckpt")
 
     det_metrics = nn.evaluate(detector, X_test, y_det_test, benign_index=0)
-    fam_metrics = nn.evaluate(classifier, _feature_matrix(mal_test), np.array(
-        [fam_index[s.cls.value] for s in mal_test]
-    ))
+    fam_metrics = nn.evaluate(classifier, X_test[y_det_test == 1], yf_test)
     _write_json(out / "metrics" / "detector.json", det_metrics.to_dict())
     _write_json(out / "metrics" / "classifier.json", fam_metrics.to_dict())
 
     # -- family pattern mining and ranking ----------------------------------
-    min_nodes = _get(sections, "mining", "min_nodes", fhmc.DEFAULT_MIN_NODES, int)
-    max_nodes = _get(sections, "mining", "max_nodes", fhmc.DEFAULT_MAX_NODES, int)
-    mine_fraction = _get(sections, "mining", "support_fraction", 0.9, float)
-    rank_fraction = _get(sections, "rank", "support_fraction", 0.05, float)
-    k = _get(sections, "rank", "k", fhmc.DEFAULT_TOP_K, int)
-    ceiling = _get(sections, "rank", "benign_ceiling", fhmc.DEFAULT_BENIGN_CEILING, int)
-    budget = _get(sections, "encode", "budget_seconds", fhmc.DEFAULT_ENCODE_BUDGET, float)
-
-    candidates = fhmc.mine_family_candidates(
-        train_s, min_nodes=min_nodes, max_nodes=max_nodes, support_fraction=mine_fraction
-    )
+    candidates = fhmc.mine_family_candidates(train_s, **cfg["mining"])
     patterns_dir = out / "patterns"
     patterns_dir.mkdir(exist_ok=True)
     for fam, cands in sorted(candidates.items()):
@@ -123,13 +158,11 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     family_train = {
         f.value: [s for s in train_s if s.cls is f] for f in FAMILIES
     }
-    ranked = fhmc.rank_patterns(
-        candidates, family_train, benign_train,
-        k=k, benign_ceiling=ceiling, support_fraction=rank_fraction,
-    )
+    ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **cfg["rank"])
     fhmc.write_ranked(ranked, patterns_dir / "ranked.json")
 
     # -- encodings and the suspicious-behavior screen ------------------------
+    budget = cfg["encode"]["budget_seconds"]
     bits_train = fhmc.encode_many(train_s, ranked, budget)
     bits_test = fhmc.encode_many(test_s, ranked, budget)
     enc_dir = out / "encodings"
@@ -141,19 +174,19 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
         fhmc.encodings_to_csv([s.id for s in test_s], bits_test)
     )
 
-    y_sbd_train = np.array([0 if s.cls is SampleClass.BENIGN else 1 for s in train_s])
-    y_sbd_test = np.array([0 if s.cls is SampleClass.BENIGN else 1 for s in test_s])
-    sbd = fhmc.train_sbd(bits_train, y_sbd_train, seed=seed + 2, epochs=epochs, batch_size=batch)
+    sbd = fhmc.train_sbd(
+        bits_train, y_det_train, seed=seed + 2,
+        epochs=train["epochs"], batch_size=train["batch_size"],
+    )
     nn.save_checkpoint(sbd, models_dir / "sbd.ckpt")
-    sbd_metrics = nn.evaluate(sbd, bits_test.astype(np.float64), y_sbd_test, benign_index=0)
+    sbd_metrics = nn.evaluate(sbd, bits_test.astype(np.float64), y_det_test, benign_index=0)
     _write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
 
     # -- attacks -------------------------------------------------------------
-    sgea_lo = _get(sections, "attack", "sgea_min_nodes", 5, int)
-    sgea_hi = _get(sections, "attack", "sgea_max_nodes", 12, int)
-    sgea_per_size = _get(sections, "attack", "sgea_per_size", 16, int)
-    sgea_fraction = _get(sections, "attack", "sgea_support_fraction", 0.05, float)
-    target = _get(sections, "attack", "target", "Benign")
+    attack = cfg["attack"]
+    # The donors, the SGEA pool and the screen all assume benign-looking
+    # evaders, so the attacks always target Benign.
+    target = SampleClass.BENIGN.value
 
     # Candidate pool: benign-discriminative patterns, then the best
     # `sgea_per_size` per node count so the ascending attack loop always has
@@ -161,16 +194,16 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     sgea_pool = mining.select_discriminative(
         train_s,
         SampleClass.BENIGN,
-        min_support=fhmc.support_floor(len(benign_train), sgea_fraction),
-        min_nodes=sgea_lo,
-        max_nodes=sgea_hi,
+        min_support=fhmc.support_floor(len(benign_train), attack["sgea_support_fraction"]),
+        min_nodes=attack["sgea_min_nodes"],
+        max_nodes=attack["sgea_max_nodes"],
         top_k=None,
     )
     by_size: dict[int, list] = {}
     for p in sgea_pool:
         by_size.setdefault(p.graph.node_count, []).append(p)
     sgea_candidates = [
-        p for size in sorted(by_size) for p in by_size[size][:sgea_per_size]
+        p for size in sorted(by_size) for p in by_size[size][:attack["sgea_per_size"]]
     ]
     mining.write_patterns(sgea_candidates, patterns_dir / "sgea_candidates.json")
 

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand's happy path on a small corpus,
 plus the documented exit codes."""
 
+import configparser
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfgsentinel import fhmc, nn
+from cfgsentinel import experiment, fhmc, mining, nn
 from cfgsentinel.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_INPUT,
@@ -124,12 +125,29 @@ def test_eval_prints_metrics(ws, capsys):
 
 
 def test_mine_wrote_patterns(ws):
-    from cfgsentinel.mining import read_patterns
-
     for path, fam in zip(ws["patterns"], ("FamilyA", "FamilyB", "FamilyC")):
-        pats = read_patterns(path)
+        pats = mining.read_patterns(path)
         assert pats, f"no patterns mined for {fam}"
         assert all(fam in p.support for p in pats)
+
+
+def test_mine_default_support_matches_experiment(ws):
+    # With no [mining] support_fraction, `mine` uses the schema default,
+    # the same one `experiment.run` mines family candidates with.
+    out = ws["root"] / "default_support.json"
+    assert main(["mine", "--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
+                 "--target", "FamilyA", "--max-nodes", "3",
+                 "--out", str(out)]) == EXIT_OK
+    by_id = {s.id: s for s in read_corpus(ws["manifest"])}
+    train_s = [by_id[i] for i in json.loads(ws["splits"].read_text())["train"]]
+    expected = fhmc.mine_family_candidates(
+        train_s, min_nodes=3, max_nodes=3, support_fraction=0.9
+    )["FamilyA"]
+    assert expected
+    reference = ws["root"] / "default_support_reference.json"
+    mining.write_patterns(expected, reference)
+    assert out.read_bytes() == reference.read_bytes()
+    assert experiment.DEFAULTS["mining"]["support_fraction"] == 0.9
 
 
 def test_rank_wrote_ranked_set(ws):
@@ -254,9 +272,12 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_missing_inputs_exit_3(tmp_path, capsys):
+def test_missing_inputs_exit_3(ws, tmp_path, capsys):
     assert main(["features", "--corpus", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == EXIT_MISSING_INPUT
+    assert main(["features", "--config", str(tmp_path / "missing.ini"),
+                 "--corpus", str(ws["manifest"]),
+                 "--out", str(tmp_path / "y.csv")]) == EXIT_MISSING_INPUT
     assert main(["gen", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "c")]) == EXIT_MISSING_INPUT
     assert main(["eval", "--model", str(tmp_path / "nope.ckpt"),
@@ -264,7 +285,7 @@ def test_missing_inputs_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bad_config_exit_4(tmp_path, capsys):
+def test_bad_config_exit_4(ws, tmp_path, capsys):
     bad_value = tmp_path / "bad_value.ini"
     bad_value.write_text("[corpus]\nmotif_prob = 0\n")
     assert main(["gen", "--config", str(bad_value),
@@ -279,15 +300,77 @@ def test_bad_config_exit_4(tmp_path, capsys):
     unknown_key.write_text("[corpus]\nbenign_flavor = mild\n")
     assert main(["gen", "--config", str(unknown_key),
                  "--out", str(tmp_path / "c3")]) == EXIT_BAD_CONFIG
+
+    # Each is one edit of the working TINY config, so a command that ignored
+    # it would run to completion instead of exiting 4.
+    edits = {
+        "bad_int": ("epochs = 25", "epochs = abc"),
+        "bad_mining_int": ("min_nodes = 2", "min_nodes = x"),
+        "bad_float": ("train_fraction = 0.75", "train_fraction = abc"),
+        "bad_arch": ("arch = dnn", "arch = xyz"),
+        "no_epochs": ("epochs = 25", "epochs = 0"),
+        "no_batch": ("batch_size = 8", "batch_size = 0"),
+        "misspelt_key": ("epochs = 25", "epoch = 25"),
+        "misspelt_section": ("[train]", "[trian]"),
+        "removed_attack_target": ("[attack]\n", "[attack]\ntarget = Benign\n"),
+        "removed_train_seed": ("[train]\n", "[train]\nseed = 1\n"),
+        "interpolation": ("arch = dnn", "arch = dnn%"),
+    }
+    commands = {
+        "train": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
+                  "--task", "detector"],
+        "mine": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
+                 "--target", "FamilyA"],
+        "repro": ["--seed", "5"],
+        "features": ["--corpus", str(ws["manifest"])],
+        "gen": [],
+    }
+    for name, (old, new) in edits.items():
+        assert TINY_INI.count(old) == 1
+        ini = tmp_path / f"{name}.ini"
+        ini.write_text(TINY_INI.replace(old, new))
+        for command, extra in commands.items():
+            out = tmp_path / f"{name}_{command}.out"
+            code = main([command, "--config", str(ini), *extra, "--out", str(out)])
+            assert code == EXIT_BAD_CONFIG, (name, command)
+            assert not out.exists()
+    assert main(["train", "--config", str(tmp_path / "bad_arch.ini"), "--arch", "cnn",
+                 *commands["train"], "--out", str(tmp_path / "m.ckpt")]) == EXIT_BAD_CONFIG
     capsys.readouterr()
+
+
+def test_readme_config_matches_schema():
+    # The README's config block documents every schema key with its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.optionxform = str
+    parser.read_string(block)
+    documented = {
+        sec: dict(parser[sec]) for sec in parser.sections() if sec != "corpus"
+    }
+    assert documented.keys() == experiment.DEFAULTS.keys()
+    for sec, defaults in experiment.DEFAULTS.items():
+        assert documented[sec].keys() == defaults.keys(), sec
+        for key, default in defaults.items():
+            assert type(default)(documented[sec][key]) == default, (sec, key)
 
 
 def test_runtime_errors_exit_5(ws, tmp_path, capsys):
     # A splits file that references sample ids the corpus does not contain.
     stale = tmp_path / "stale_splits.json"
     stale.write_text(json.dumps({"train": ["ghost-0001"], "test": []}))
-    assert main(["train", "--config", str(ws["ini"]),
-                 "--corpus", str(ws["manifest"]), "--splits", str(stale),
-                 "--task", "detector",
-                 "--out", str(tmp_path / "m.ckpt")]) == EXIT_RUNTIME
+    bad_json = tmp_path / "bad_json_splits.json"
+    bad_json.write_text("{not json")
+    no_test = tmp_path / "no_test_splits.json"
+    no_test.write_text(json.dumps({"train": json.loads(ws["splits"].read_text())["train"]}))
+    a_list = tmp_path / "list_splits.json"
+    a_list.write_text(json.dumps(["a", "b"]))
+    nested = tmp_path / "nested_splits.json"
+    nested.write_text(json.dumps({"train": [["ghost-0001"]], "test": []}))
+    for splits in (stale, bad_json, no_test, a_list, nested):
+        assert main(["train", "--config", str(ws["ini"]),
+                     "--corpus", str(ws["manifest"]), "--splits", str(splits),
+                     "--task", "detector",
+                     "--out", str(tmp_path / "m.ckpt")]) == EXIT_RUNTIME, splits.name
     capsys.readouterr()
