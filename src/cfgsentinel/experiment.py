@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import adversarial, corpus, features, fhmc, mining, nn
-from .graph import FAMILIES, LabeledSample, SampleClass, write_corpus
+from .graph import FAMILIES, GraphError, LabeledSample, SampleClass, write_corpus
 
 Sections = Mapping[str, Mapping[str, object]]
 
@@ -79,15 +79,19 @@ def feature_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
 def task_labels(samples: Sequence[LabeledSample], task: str):
     """The samples a task learns from, its class names and its label vector:
     "detector" is Benign (0) vs Malware (1) over every sample, "classifier"
-    the family index over the malware samples."""
+    the family index over the malware samples.  A selection with no sample
+    of the task is a data error."""
     if task == "detector":
+        keep, names = samples, fhmc.DETECTOR_CLASSES
         y = [0 if s.cls is SampleClass.BENIGN else 1 for s in samples]
-        return samples, fhmc.DETECTOR_CLASSES, np.array(y)
-    if task != "classifier":
+    elif task == "classifier":
+        keep, names = [s for s in samples if s.cls is not SampleClass.BENIGN], fhmc.FAMILY_CLASSES
+        y = [names.index(s.cls.value) for s in keep]
+    else:
         raise corpus.CorpusError(f"unknown task: {task!r}")
-    keep = [s for s in samples if s.cls is not SampleClass.BENIGN]
-    y = [fhmc.FAMILY_CLASSES.index(s.cls.value) for s in keep]
-    return keep, fhmc.FAMILY_CLASSES, np.array(y)
+    if not keep:
+        raise GraphError(f"no samples for task {task!r}")
+    return keep, names, np.array(y)
 
 
 def _write_json(path: Path, obj) -> None:

@@ -101,19 +101,20 @@ class GraphView:
     """The one adjacency representation of a Cfg.
 
     ids: node ids in document order.  labels: id -> label.  succ / pred:
-    id -> sorted successor / predecessor tuple.  outdeg / indeg: id -> degree
-    (a self-loop counts once in each).  label_counts: label -> node count.
-    by_label: label -> ids with that label, in document order.  plan: the
-    compiled match plan when the graph is used as a pattern (set by the
-    isomorphism module).
+    id -> sorted successor / predecessor tuple.  edges: the graph's arc set.
+    outdeg / indeg: id -> degree (a self-loop counts once in each).
+    label_counts: label -> node count.  by_label: label -> ids with that
+    label, in document order.  plan: the compiled match plan when the graph
+    is used as a pattern (set by the isomorphism module).
     """
 
-    __slots__ = ("ids", "labels", "succ", "pred", "outdeg", "indeg",
+    __slots__ = ("ids", "labels", "succ", "pred", "edges", "outdeg", "indeg",
                  "label_counts", "by_label", "plan")
 
     def __init__(self, g: Cfg):
         self.ids = tuple(i for i, _ in g.nodes)
         self.labels = dict(g.nodes)
+        self.edges = g.edges
         succ: dict[int, list[int]] = {i: [] for i in self.ids}
         pred: dict[int, list[int]] = {i: [] for i in self.ids}
         for u, v in g.edges:
@@ -194,19 +195,21 @@ def parse_graph(text: str) -> Cfg:
     return Cfg(nodes=nodes, edges=edges, entry=entry, exits=exits)
 
 
-def serialize_graph(g: Cfg) -> str:
-    """Serialize to the graph JSON format, deterministically.
-
-    Nodes are sorted by id, edges lexicographically, exits ascending, so
-    equal graphs serialize to identical byte strings.
-    """
-    doc = {
+def graph_doc(g: Cfg) -> dict:
+    """The graph JSON document as a dict: nodes sorted by id, edges
+    lexicographically, exits ascending."""
+    return {
         "nodes": [{"id": i, "label": l} for i, l in sorted(g.nodes)],
         "edges": [[u, v] for u, v in sorted(g.edges)],
         "entry": g.entry,
         "exits": sorted(g.exits),
     }
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def serialize_graph(g: Cfg) -> str:
+    """Serialize to the graph JSON format, deterministically: equal graphs
+    serialize to identical byte strings."""
+    return json.dumps(graph_doc(g), separators=(",", ":"), sort_keys=True)
 
 
 def load_graph(path: str | Path) -> Cfg:

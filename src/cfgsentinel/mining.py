@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import Cfg, GraphError, SampleClass
+from .graph import Cfg, GraphView, SampleClass, graph_doc, parse_graph
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
@@ -52,36 +52,6 @@ def _entry_key(e: Entry):
     return (1, -i, li, d, lj)
 
 
-def code_less(a: Code, b: Code) -> bool:
-    """True when code `a` precedes code `b` (entry-wise, then by length)."""
-    for ea, eb in zip(a, b):
-        ka, kb = _entry_key(ea), _entry_key(eb)
-        if ka != kb:
-            return ka < kb
-    return len(a) < len(b)
-
-
-class _MGraph:
-    """Adjacency view used by the miner (host node ids preserved)."""
-
-    __slots__ = ("labels", "arcs", "out", "inn", "ids")
-
-    def __init__(self, g: Cfg):
-        self.ids = tuple(sorted(i for i, _ in g.nodes))
-        self.labels = dict(g.nodes)
-        self.arcs = set(g.edges)
-        self.out: dict[int, tuple[int, ...]] = {}
-        self.inn: dict[int, tuple[int, ...]] = {}
-        out: dict[int, list[int]] = {i: [] for i in self.ids}
-        inn: dict[int, list[int]] = {i: [] for i in self.ids}
-        for u, v in g.edges:
-            out[u].append(v)
-            inn[v].append(u)
-        for i in self.ids:
-            self.out[i] = tuple(sorted(out[i]))
-            self.inn[i] = tuple(sorted(inn[i]))
-
-
 def _vertex_count(code: Code) -> int:
     if code[0][3] == -1:
         return 1
@@ -104,120 +74,122 @@ def _rmpath(code: Code) -> list[int]:
     return path if path else [0]
 
 
-_Emb = tuple[tuple[int, ...], frozenset]  # (phi: DFS index -> host node, used arcs)
+def _code_arcs(code: Code) -> set[tuple[int, int]]:
+    """The code's arcs as (source, target) DFS-index pairs."""
+    return {(i, j) if d == 0 else (j, i) for i, j, _, d, _ in code if d != -1}
+
+
+def _code_labels(code: Code) -> dict[int, int]:
+    """DFS index -> label (its first mention)."""
+    labels: dict[int, int] = {}
+    for i, j, li, _, lj in code:
+        labels.setdefault(i, li)
+        labels.setdefault(j, lj)
+    return labels
+
+
+# An embedding is phi, a tuple mapping DFS index -> host node; being
+# injective, it uses a host arc exactly when the code holds its DFS-index arc.
+# A child's embeddings are recorded as (gi, phi, w): host graph, parent's phi,
+# new vertex or None; phi + (w,) is built only if the child passes its checks.
+_Rec = tuple[int, tuple[int, ...], int | None]
+
+
+def _seed_embeddings(g: GraphView | _CodeGraph, gi: int, out: dict[Entry, list[_Rec]]) -> None:
+    """Add every single-arc starting code of `g` with its embeddings."""
+    labels = g.labels
+    for u, v in sorted(g.edges):
+        if u == v:
+            out[(0, 0, labels[u], 0, labels[u])].append((gi, (u,), None))
+        else:
+            out[(0, 1, labels[u], 0, labels[v])].append((gi, (u, v), None))
+            out[(0, 1, labels[v], 1, labels[u])].append((gi, (v, u), None))
 
 
 def _extensions(
-    g: _MGraph,
-    rmpath: Sequence[int],
-    last: Entry | None,
-    phi: tuple[int, ...],
-    used: frozenset,
-    allow_forward: bool,
-) -> list[tuple[Entry, _Emb]]:
-    """Grammar-valid rightmost-path extensions of one embedding."""
-    out: list[tuple[Entry, _Emb]] = []
+    views: Sequence[GraphView | _CodeGraph], code: Code, recs: list[_Rec], allow_forward: bool
+) -> dict[Entry, list[_Rec]]:
+    """Grammar-valid rightmost-path extensions of every embedding of `code`,
+    grouped by the entry they append."""
+    rmpath = _rmpath(code)
     r = rmpath[-1]
-    rv = phi[r]
+    used = _code_arcs(code)
+    lab = _code_labels(code)
+    lr = lab[r]
     # consecutive backward entries from the same rightmost vertex must be
     # emitted in ascending (j, d) order
-    bound = None
-    if last is not None and last[3] != -1 and last[1] <= last[0]:
-        bound = (last[1], last[3])
-
+    last = code[-1]
+    bound = (last[1], last[3]) if last[3] != -1 and last[1] <= last[0] else (-1, 0)
+    # (a, b, entry): the host arc (phi[a], phi[b]) closes `entry`; whether a
+    # backward entry is allowed depends on the code alone
+    back = []
     for j in rmpath[:-1]:
-        jv = phi[j]
-        if (rv, jv) in g.arcs and (rv, jv) not in used and (bound is None or (j, 0) > bound):
-            e = (r, j, g.labels[rv], 0, g.labels[jv])
-            out.append((e, (phi, used | {(rv, jv)})))
-        if (jv, rv) in g.arcs and (jv, rv) not in used and (bound is None or (j, 1) > bound):
-            e = (r, j, g.labels[rv], 1, g.labels[jv])
-            out.append((e, (phi, used | {(jv, rv)})))
-    if (rv, rv) in g.arcs and (rv, rv) not in used and (bound is None or (r, 0) > bound):
-        e = (r, r, g.labels[rv], 0, g.labels[rv])
-        out.append((e, (phi, used | {(rv, rv)})))
+        if (r, j) not in used and (j, 0) > bound:
+            back.append((r, j, (r, j, lr, 0, lab[j])))
+        if (j, r) not in used and (j, 1) > bound:
+            back.append((j, r, (r, j, lr, 1, lab[j])))
+    if (r, r) not in used and (r, 0) > bound:
+        back.append((r, r, (r, r, lr, 0, lr)))
+    fwd = [(i, lab[i]) for i in rmpath] if allow_forward else ()
+    n = len(lab)
 
-    if allow_forward:
-        n = len(phi)
-        mapped = set(phi)
-        for i in rmpath:
-            iv = phi[i]
-            for w in g.out[iv]:
-                if w not in mapped:
-                    e = (i, n, g.labels[iv], 0, g.labels[w])
-                    out.append((e, (phi + (w,), used | {(iv, w)})))
-            for w in g.inn[iv]:
-                if w not in mapped:
-                    e = (i, n, g.labels[iv], 1, g.labels[w])
-                    out.append((e, (phi + (w,), used | {(w, iv)})))
+    out: dict[Entry, list[_Rec]] = defaultdict(list)
+    for gi, phi, w in recs:
+        if w is not None:
+            phi = phi + (w,)
+        g = views[gi]
+        arcs = g.edges
+        for a, b, e in back:
+            if (phi[a], phi[b]) in arcs:
+                out[e].append((gi, phi, None))
+        if fwd:
+            labels = g.labels
+            for i, li in fwd:
+                v = phi[i]
+                for x in g.succ[v]:
+                    if x not in phi:
+                        out[(i, n, li, 0, labels[x])].append((gi, phi, x))
+                for x in g.pred[v]:
+                    if x not in phi:
+                        out[(i, n, li, 1, labels[x])].append((gi, phi, x))
     return out
 
 
-def _seed_embeddings(g: _MGraph) -> list[tuple[Entry, _Emb]]:
-    """All single-arc starting codes with their embeddings."""
-    out = []
-    for u, v in sorted(g.arcs):
-        if u == v:
-            e = (0, 0, g.labels[u], 0, g.labels[u])
-            out.append((e, ((u,), frozenset({(u, u)}))))
-        else:
-            e = (0, 1, g.labels[u], 0, g.labels[v])
-            out.append((e, ((u, v), frozenset({(u, v)}))))
-            e = (0, 1, g.labels[v], 1, g.labels[u])
-            out.append((e, ((v, u), frozenset({(u, v)}))))
-    return out
-
-
-def _greedy_min(g: _MGraph, limit: Code | None) -> Code | None:
+def _greedy_min(g: GraphView | _CodeGraph, limit: Code | None) -> Code | None:
     """Build the minimum DFS code of a connected graph step by step.
 
     With `limit` set, abort and return None as soon as the minimum deviates
     below `limit` (used for the is-minimal check, where limit is realizable
     and the greedy minimum can never exceed it).
     """
-    n_arcs = len(g.arcs)
+    n_arcs = len(g.edges)
     if n_arcs == 0:
         lab = g.labels[g.ids[0]]
         return ((0, 0, lab, -1, lab),)
 
-    states: list[_Emb] = []
-    code: list[Entry] = []
-    seeds = _seed_embeddings(g)
-    best = min(_entry_key(e) for e, _ in seeds)
-    if limit is not None and best != _entry_key(limit[0]):
-        return None
-    code.append(next(e for e, _ in seeds if _entry_key(e) == best))
-    states = [emb for e, emb in seeds if _entry_key(e) == best]
-
-    while len(code) < n_arcs:
-        rmp = _rmpath(tuple(code))
-        last = code[-1]
-        candidates: list[tuple[Entry, _Emb]] = []
-        for phi, used in states:
-            candidates.extend(_extensions(g, rmp, last, phi, used, True))
-        best = min(_entry_key(e) for e, _ in candidates)
-        if limit is not None and best != _entry_key(limit[len(code)]):
+    candidates: dict[Entry, list[_Rec]] = defaultdict(list)
+    _seed_embeddings(g, 0, candidates)
+    code: Code = ()
+    while True:
+        e = min(candidates, key=_entry_key)
+        if limit is not None and _entry_key(e) != _entry_key(limit[len(code)]):
             return None
-        code.append(next(e for e, _ in candidates if _entry_key(e) == best))
-        states = [emb for e, emb in candidates if _entry_key(e) == best]
-    return tuple(code)
+        code += (e,)
+        if len(code) == n_arcs:
+            return code
+        candidates = _extensions((g,), code, candidates[e], True)
 
 
 def _is_connected(g: Cfg) -> bool:
-    ids = [i for i, _ in g.nodes]
-    undirected: dict[int, set[int]] = {i: set() for i in ids}
-    for u, v in g.edges:
-        undirected[u].add(v)
-        undirected[v].add(u)
-    seen = {ids[0]}
-    q = deque([ids[0]])
-    while q:
-        u = q.popleft()
-        for w in undirected[u]:
+    view = g.view
+    seen, stack = {view.ids[0]}, [view.ids[0]]
+    while stack:
+        u = stack.pop()
+        for w in view.succ[u] + view.pred[u]:
             if w not in seen:
                 seen.add(w)
-                q.append(w)
-    return len(seen) == len(ids)
+                stack.append(w)
+    return len(seen) == len(view.ids)
 
 
 def canonical_dfs_code(g: Cfg) -> Code:
@@ -225,27 +197,39 @@ def canonical_dfs_code(g: Cfg) -> Code:
     canonical codes exactly when they are isomorphic (labels respected)."""
     if not _is_connected(g):
         raise MiningError("canonical_dfs_code requires a weakly connected graph")
-    code = _greedy_min(_MGraph(g), None)
+    code = _greedy_min(g.view, None)
     assert code is not None
     return code
 
 
-def _is_min(code: Code, g: _MGraph) -> bool:
-    return _greedy_min(g, limit=code) is not None
+class _CodeGraph:
+    """A DFS code's graph (DFS indices as ids) with the `GraphView` fields
+    `_greedy_min` reads; adjacency order does not change the minimum."""
+
+    __slots__ = ("ids", "labels", "succ", "pred", "edges")
+
+    def __init__(self, code: Code):
+        self.labels = _code_labels(code)
+        self.ids = tuple(self.labels)
+        self.edges = _code_arcs(code)
+        self.succ: dict[int, list[int]] = {i: [] for i in self.ids}
+        self.pred: dict[int, list[int]] = {i: [] for i in self.ids}
+        for a, b in self.edges:
+            self.succ[a].append(b)
+            self.pred[b].append(a)
+
+
+def _is_min(code: Code) -> bool:
+    """True when `code` is the minimum DFS code of its own graph."""
+    return _greedy_min(_CodeGraph(code), limit=code) is not None
 
 
 def code_to_graph(code: Code) -> Cfg:
     """Materialize a DFS code as a graph with canonical ids 0..k-1.  The
     entry is the DFS root; exits are the sinks (last vertex when none)."""
     n = _vertex_count(code)
-    labels = {0: code[0][2]}
-    arcs = set()
-    for i, j, li, d, lj in code:
-        if d == -1:
-            continue
-        labels.setdefault(i, li)
-        labels.setdefault(j, lj)
-        arcs.add((i, j) if d == 0 else (j, i))
+    labels = _code_labels(code)
+    arcs = _code_arcs(code)
     sources = {u for u, _ in arcs}
     sinks = [v for v in range(n) if v not in sources]
     return Cfg(
@@ -304,7 +288,7 @@ def write_patterns(patterns: Sequence["Pattern"], path: str | Path) -> None:
         "patterns": [
             {
                 "dfs_code": code_to_string(p.code),
-                "graph": json.loads(_graph_doc(p.graph)),
+                "graph": graph_doc(p.graph),
                 "support": dict(sorted(p.support.items())),
                 "quality": p.quality,
                 "node_count": p.node_count,
@@ -316,8 +300,6 @@ def write_patterns(patterns: Sequence["Pattern"], path: str | Path) -> None:
 
 
 def read_patterns(path: str | Path) -> list["Pattern"]:
-    from .graph import parse_graph
-
     doc = json.loads(Path(path).read_text())
     out = []
     for entry in doc["patterns"]:
@@ -333,12 +315,6 @@ def read_patterns(path: str | Path) -> list["Pattern"]:
             )
         )
     return out
-
-
-def _graph_doc(g: Cfg) -> str:
-    from .graph import serialize_graph
-
-    return serialize_graph(g)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +340,7 @@ class _Miner:
             raise MiningError("need 1 <= min_nodes <= max_nodes")
         if not graphs:
             raise MiningError("empty corpus")
-        self.views = [_MGraph(g) for g in graphs]
+        self.views = [g.view for g in graphs]
         self.classes = list(classes)
         self.sample_ids = list(sample_ids)
         self.min_support = min_support
@@ -382,10 +358,9 @@ class _Miner:
     def run(self) -> None:
         if self.min_nodes <= 1:
             self._single_vertices()
-        seeds: dict[Entry, list[tuple[int, _Emb]]] = {}
+        seeds: dict[Entry, list[_Rec]] = defaultdict(list)
         for gi, view in enumerate(self.views):
-            for e, emb in _seed_embeddings(view):
-                seeds.setdefault(e, []).append((gi, emb))
+            _seed_embeddings(view, gi, seeds)
         for e in sorted(seeds, key=_entry_key):
             self._recurse((e,), seeds[e])
 
@@ -406,26 +381,25 @@ class _Miner:
                 continue
             self.report(code, gid_sets)
 
-    def _recurse(self, code: Code, embs: list[tuple[int, _Emb]]):
+    def _recurse(self, code: Code, recs: list[_Rec]):
+        gis = {gi for gi, _, _ in recs}
+        if len(gis) < self.min_support:  # each graph adds at most one id
+            return
+        # records arrive in ascending gi order, so the class and id sets
+        # are filled in the order of their first embedding
         gid_sets: dict[str, set[str]] = {}
-        for gi, _ in embs:
+        for gi in sorted(gis):
             gid_sets.setdefault(self.classes[gi], set()).add(self.sample_ids[gi])
         if self._support(gid_sets) < self.min_support:
             return
-        if not _is_min(code, _MGraph(code_to_graph(code))):
+        if not _is_min(code):
             return
         if self.prune is not None and self.prune(code, gid_sets):
             return
         n = _vertex_count(code)
         if n >= self.min_nodes:
             self.report(code, gid_sets)
-        allow_forward = n < self.max_nodes
-        rmp = _rmpath(code)
-        last = code[-1]
-        exts: dict[Entry, list[tuple[int, _Emb]]] = {}
-        for gi, (phi, used) in embs:
-            for e, emb in _extensions(self.views[gi], rmp, last, phi, used, allow_forward):
-                exts.setdefault(e, []).append((gi, emb))
+        exts = _extensions(self.views, code, recs, n < self.max_nodes)
         for e in sorted(exts, key=_entry_key):
             self._recurse(code + (e,), exts[e])
 

@@ -512,6 +512,19 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         f.write(payload)
 
 
+# Header key -> check of its JSON value (`type(v) is int` excludes bools).
+_HEADER_FIELDS = {
+    "arch": lambda v: v in ARCHITECTURES,
+    "input_width": lambda v: type(v) is int and v >= 1,
+    "num_classes": lambda v: type(v) is int and v >= 1,
+    "class_names": lambda v: type(v) is list and all(type(c) is str for c in v),
+    "scaler": lambda v: type(v) is bool,
+    "shapes": lambda v: type(v) is list and all(
+        type(s) is list and all(type(n) is int and n >= 0 for n in s) for s in v
+    ),
+}
+
+
 def load_checkpoint(path: str | Path) -> Model:
     """Load and validate a checkpoint: magic, header syntax, the full shape
     chain implied by (arch, input width, class count), and payload length."""
@@ -525,13 +538,18 @@ def load_checkpoint(path: str | Path) -> Model:
         header = json.loads(raw[12 : 12 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelIOError(f"corrupt checkpoint header: {e}") from None
-    arch = header.get("arch")
-    if arch not in ARCHITECTURES:
-        raise ModelIOError(f"unknown architecture in checkpoint: {arch!r}")
+    if not isinstance(header, dict):
+        raise ModelIOError("checkpoint header is not a JSON object")
+    for key, valid in _HEADER_FIELDS.items():
+        if not valid(header.get(key)):
+            raise ModelIOError(f"missing or bad checkpoint header field {key!r}")
     class_names = tuple(header["class_names"])
     if len(class_names) != header["num_classes"]:
         raise ModelIOError("class name list does not match class count")
-    model = build_model(arch, int(header["input_width"]), class_names, seed=0)
+    try:
+        model = build_model(header["arch"], header["input_width"], class_names, seed=0)
+    except ValueError as e:
+        raise ModelIOError(f"checkpoint header describes no model: {e}") from None
     arrays = model.param_arrays()
     if header["scaler"]:
         model.scaler_min = np.zeros(model.input_width)

@@ -23,6 +23,7 @@ from cfgsentinel.features import FEATURE_COUNT
 from cfgsentinel.graph import SampleClass, read_corpus
 
 from conftest import TINY_INI, subprocess_env
+from test_nn import MALFORMED_HEADERS, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +375,37 @@ def test_runtime_errors_exit_5(ws, tmp_path, capsys):
                      "--task", "detector",
                      "--out", str(tmp_path / "m.ckpt")]) == EXIT_RUNTIME, splits.name
     capsys.readouterr()
+
+
+def test_malformed_checkpoint_header_exit_4(ws, tmp_path, capsys):
+    raw = ws["detector"].read_bytes()
+    for defect in ("list", "arch_only", "width_str", "width_bool", "shapes_item_str"):
+        bad = tmp_path / f"{defect}.ckpt"
+        bad.write_bytes(rewrite_header(raw, MALFORMED_HEADERS[defect]))
+        assert main(["eval", "--model", str(bad),
+                     "--corpus", str(ws["manifest"]), "--splits", str(ws["splits"])]
+                    ) == EXIT_BAD_CONFIG, defect
+        for role in ("--detector", "--classifier", "--sbd"):
+            models = {"--detector": ws["detector"], "--classifier": ws["classifier"],
+                      "--sbd": ws["sbd"], role: bad}
+            assert main(["pipeline", *(x for r, m in models.items() for x in (r, str(m))),
+                         "--ranked", str(ws["ranked"]),
+                         "--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
+                         "--out", str(tmp_path / "v.jsonl")]) == EXIT_BAD_CONFIG, (defect, role)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_task_without_samples_exit_5(ws, tmp_path, capsys):
+    benign = [s.id for s in read_corpus(ws["manifest"]) if s.cls is SampleClass.BENIGN]
+    splits = tmp_path / "benign_splits.json"
+    splits.write_text(json.dumps({"train": benign, "test": benign}))
+    assert main(["train", "--config", str(ws["ini"]),
+                 "--corpus", str(ws["manifest"]), "--splits", str(splits),
+                 "--task", "classifier",
+                 "--out", str(tmp_path / "m.ckpt")]) == EXIT_RUNTIME
+    assert main(["eval", "--model", str(ws["classifier"]),
+                 "--corpus", str(ws["manifest"]), "--splits", str(splits)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "classifier" in err
+    assert not (tmp_path / "m.ckpt").exists()

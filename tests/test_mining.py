@@ -1,3 +1,8 @@
+import hashlib
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,8 @@ from cfgsentinel.graph import Cfg, LabeledSample, SampleClass
 from cfgsentinel.mining import (
     MiningError,
     Pattern,
+    _Miner,
+    _is_min,
     canonical_dfs_code,
     code_to_graph,
     code_to_string,
@@ -16,7 +23,7 @@ from cfgsentinel.mining import (
     string_to_code,
     write_patterns,
 )
-from conftest import cycle_graph, path_graph, tiny_cfg
+from conftest import TINY_INI, cycle_graph, path_graph, random_cfg, subprocess_env, tiny_cfg
 import oracles
 
 
@@ -244,3 +251,169 @@ class TestPatternIO:
             back = read_patterns(path_)
             assert [p.code for p in back] == [p.code for p in pats]
             assert [dict(p.support) for p in back] == [dict(p.support) for p in pats]
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: the pattern files and the miner's visiting order, pinned as
+# sha256 digests.  A change that alters them on purpose re-pins them and says
+# why.
+# ---------------------------------------------------------------------------
+
+_GOLDEN_PROGRAM = """
+import configparser, hashlib, json, sys
+from pathlib import Path
+from cfgsentinel import experiment
+parser = configparser.ConfigParser()
+parser.optionxform = str
+parser.read_string(sys.argv[2])
+sections = {sec: dict(parser[sec]) for sec in parser.sections()}
+digests = {}
+for seed in (7, 5):
+    root = Path(sys.argv[1]) / str(seed)
+    experiment.run(root, seed=seed, sections=sections)
+    for p in sorted((root / "patterns").glob("*.json")):
+        digests[f"{seed}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+GOLDEN_PATTERN_DIGESTS = {
+    "7/candidates_FamilyA.json": "493da55a7f3907116d0aa212a00ae14384ecd717c406905c9cc221da9c6b1512",
+    "7/candidates_FamilyB.json": "de21df9ed17877bfd6277be19c04390134c34da883e6e68bb3c6aeff9d272575",
+    "7/candidates_FamilyC.json": "d91c1baa582b85c7a1469df376522b459cbf73f04489bef3610a3615cd6bf88d",
+    "7/ranked.json": "dd01e61ff3adf73b12ca75d13e43b65e9c9df0ddb56da6c4d6104353f3e94866",
+    "7/sgea_candidates.json": "d529c80d74177566458678e62f8cec0aafdce631925df573d9fb83b395d3a7fd",
+    "5/candidates_FamilyA.json": "23a7bb83cf18cb008dca30b8893ca6379d154ac78a7d2c85acdf86a46fa3f8d9",
+    "5/candidates_FamilyB.json": "7315e1634f8779c2879a8449ba0bd95a923330c50e9c2571b8e04e71e1563492",
+    "5/candidates_FamilyC.json": "f6255d40e709ec6190436e23453f66fabf9a699150f1d6066c52527c044f3fda",
+    "5/ranked.json": "becf794724a94a4128814bffb25001e0c48d0b9f3d65f7ebf46c808d9ebc1835",
+    "5/sgea_candidates.json": "026a4f67ed43c27e17a4646f4623fc85a806fb3322c5ce6511b15f3d418d44ed",
+}
+
+
+def test_golden_pattern_digests(tmp_path):
+    # the pattern files hold only integers and strings, so their bytes are
+    # pinned without a numpy-version condition
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_PROGRAM, str(tmp_path), TINY_INI],
+        env=subprocess_env(PYTHONHASHSEED="0"),
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == GOLDEN_PATTERN_DIGESTS
+
+
+def _labelled_corpus(seed: int):
+    rng = np.random.default_rng(seed)
+    graphs = [random_cfg(rng, n_lo=2, n_hi=8, p=1.5, n_labels=3, self_loops=True)
+              for _ in range(int(rng.integers(4, 8)))]
+    classes = [("Benign", "FamilyA")[int(rng.integers(0, 2))] for _ in graphs]
+    classes[0] = "FamilyA"
+    return graphs, classes, [f"s{i}" for i in range(len(graphs))]
+
+
+def _mining_trace(seed: int) -> str:
+    """Digest of one corpus's mining run: the miner's visits and reports in
+    the order they happen, then what gspan_mine and select_discriminative
+    return."""
+    graphs, classes, ids = _labelled_corpus(seed)
+
+    def sets(gid_sets):
+        return sorted((c, sorted(v)) for c, v in gid_sets.items())
+
+    events = []
+
+    def visit(code, gid_sets):
+        events.append(("visit", code, sets(gid_sets)))
+        return False  # prune nothing
+
+    _Miner(
+        graphs, classes, ids, 2, 1, 5, None,
+        report=lambda code, gid_sets: events.append(("report", code, sets(gid_sets))),
+        prune=visit,
+    ).run()
+    for p in gspan_mine(graphs, 2, 1, 5, classes=classes, sample_ids=ids):
+        events.append(("gspan", p.code, sorted(p.support.items()),
+                       sets(p.supporting_ids)))
+    samples = [LabeledSample(id=i, cfg=cfg, cls=SampleClass.from_string(c))
+               for i, cfg, c in zip(ids, graphs, classes)]
+    for p in select_discriminative(samples, "FamilyA", 2, 1, 5, top_k=None):
+        events.append(("cork", p.code, p.quality, sorted(p.support.items())))
+    return hashlib.sha256(repr(events).encode()).hexdigest()
+
+
+GOLDEN_TRACE_DIGESTS = {
+    0: "f9c58791624fd7ea93b85b2ae2f39c480d8d14b33005535836c5516da3cef5d1",
+    1: "57d57d43d46ed5dc8628beb9a96a69416bce8356660fdb88d3bf0e116f615acc",
+    2: "d14dc51048288cb93d44975cc52eed0326301dc6b12e8875efaf5a1158b1186d",
+    3: "3666e549f3d8ce092ca9226b0c6f39b6ea4385f0bf2c537e43381cc929dac0fd",
+    4: "60ee45837cb9a3d7650bda6ec5b4d21d93a7e5290d889eb35e8634d842857bfa",
+    5: "3ab5c5b7c45359f2b7ce879af0f769920346cbdf1afaa0d7dd57feb7009bd98d",
+    6: "09f00cdc19913e86e40872de03aa07f7ac2d6120b389661bff384b710ae1facc",
+    7: "d4f6d0af5af869983a8c67177c48a7b820c6c4eb6a83b99eda2b0d99bb616d15",
+    8: "58d23ac77dcc8cef5501dc2386c7f9bbd7d6f95367a5dc75ba8d4da693c120c2",
+    9: "8232c9f0f5a168398d9ee7140c2c25bc866066d63aa11eaca98ae4d9d2aab8b4",
+    10: "e850e8c5a6012a9d7a53bbc434e1fa00bedf2d0a146c3b9cc42f068d95bb3c5a",
+    11: "e802060c0d1a6654194899c516ba57f4d700a9e3f1d35b36c397e5509ea9c535",
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mining_order_matches_golden_run(seed):
+    assert _mining_trace(seed + 4100) == GOLDEN_TRACE_DIGESTS[seed]
+
+
+def _random_dfs_code(g: Cfg, rng) -> tuple:
+    """A random DFS code of a connected subgraph of `g`, built by a random
+    walk over the rightmost-path grammar described in the mining module
+    (minimal or not)."""
+    labels, arcs = dict(g.nodes), set(g.edges)
+    u, v = sorted(arcs)[int(rng.integers(0, len(arcs)))]
+    if u == v:
+        code, phi, rmpath = [(0, 0, labels[u], 0, labels[u])], [u], [0]
+    elif rng.random() < 0.5:
+        code, phi, rmpath = [(0, 1, labels[u], 0, labels[v])], [u, v], [0, 1]
+    else:
+        code, phi, rmpath = [(0, 1, labels[v], 1, labels[u])], [v, u], [0, 1]
+    used = {(u, v)}
+    while rng.random() < 0.85:
+        r = rmpath[-1]
+        last = code[-1]
+        bound = (last[1], last[3]) if last[3] != -1 and last[1] <= last[0] else None
+        moves = []
+        for j in rmpath[:-1] + [r]:
+            for d, arc in ((0, (phi[r], phi[j])), (1, (phi[j], phi[r]))):
+                if j == r and d == 1:
+                    continue
+                if arc in arcs and arc not in used and (bound is None or (j, d) > bound):
+                    moves.append(((r, j, labels[phi[r]], d, labels[phi[j]]), arc, None))
+        for i in rmpath:
+            for w in sorted(labels):
+                if w in phi:
+                    continue
+                for d, arc in ((0, (phi[i], w)), (1, (w, phi[i]))):
+                    if arc in arcs:
+                        moves.append(((i, len(phi), labels[phi[i]], d, labels[w]), arc, (i, w)))
+        if not moves:
+            break
+        entry, arc, forward = moves[int(rng.integers(0, len(moves)))]
+        code.append(entry)
+        used.add(arc)
+        if forward is not None:
+            i, w = forward
+            rmpath = rmpath[:rmpath.index(i) + 1] + [len(phi)]
+            phi.append(w)
+    return tuple(code)
+
+
+def test_is_min_matches_canonical_code(rng):
+    checked = minimal = 0
+    for _ in range(300):
+        host = random_cfg(rng, n_lo=1, n_hi=7, p=1.5, n_labels=2, self_loops=True)
+        codes = [canonical_dfs_code(host)]
+        if host.edges:
+            codes += [_random_dfs_code(host, rng) for _ in range(4)]
+        for code in codes:
+            want = canonical_dfs_code(code_to_graph(code)) == code
+            assert _is_min(code) == want, code
+            checked += 1
+            minimal += want
+    assert 0 < minimal < checked

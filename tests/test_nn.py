@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -250,6 +253,36 @@ class TestEvaluate:
             nn.evaluate(m, np.zeros((0, 23)), np.zeros(0, dtype=int))
 
 
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """A checkpoint's bytes with its JSON header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+# Header edits that must be refused with ModelIOError, each a defect of one
+# field's JSON type or value.
+MALFORMED_HEADERS = {
+    "list": lambda h: sorted(h),
+    "arch_only": lambda h: {"arch": h["arch"]},
+    "no_shapes": lambda h: {k: v for k, v in h.items() if k != "shapes"},
+    "arch_int": lambda h: dict(h, arch=5),
+    "width_str": lambda h: dict(h, input_width="x"),
+    "width_bool": lambda h: dict(h, input_width=True),
+    "width_float": lambda h: dict(h, input_width=23.0),
+    "width_zero": lambda h: dict(h, input_width=0),
+    "classes_str": lambda h: dict(h, num_classes="2"),
+    "one_class": lambda h: dict(h, num_classes=1, class_names=["a"]),
+    "names_str": lambda h: dict(h, class_names="ab"),
+    "names_int": lambda h: dict(h, class_names=[1, 2]),
+    "scaler_int": lambda h: dict(h, scaler=1),
+    "shapes_str": lambda h: dict(h, shapes="x"),
+    "shapes_flat": lambda h: dict(h, shapes=[23, 100]),
+    "shapes_item_str": lambda h: dict(h, shapes=[[23, "100"]]),
+    "shapes_item_bool": lambda h: dict(h, shapes=[[True]]),
+}
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         X = rng.uniform(size=(20, 23))
@@ -291,3 +324,23 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(nn.ModelIOError):
             nn.load_checkpoint(p)
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_fields_rejected(self, tmp_path, rng, defect):
+        X = rng.uniform(size=(10, 23))
+        y = np.array([0, 1] * 5)
+        m = nn.train(X, y, ("a", "b"), arch="dnn", seed=0, epochs=1, batch_size=4)
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(m, p)
+        p.write_bytes(rewrite_header(p.read_bytes(), MALFORMED_HEADERS[defect]))
+        with pytest.raises(nn.ModelIOError):
+            nn.load_checkpoint(p)
+
+    def test_rewritten_header_still_loads(self, tmp_path, rng):
+        X = rng.uniform(size=(10, 23))
+        y = np.array([0, 1] * 5)
+        m = nn.train(X, y, ("a", "b"), arch="dnn", seed=0, epochs=1, batch_size=4)
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(m, p)
+        p.write_bytes(rewrite_header(p.read_bytes(), dict))
+        assert np.array_equal(nn.load_checkpoint(p).predict_proba(X), m.predict_proba(X))
