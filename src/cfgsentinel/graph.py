@@ -172,6 +172,19 @@ def in_adjacency(g: Cfg) -> dict[int, tuple[int, ...]]:
 # Graph JSON document format
 # ---------------------------------------------------------------------------
 
+def _json_int(v) -> int:
+    """A JSON integer as is; floats, strings and bools are refused, not cast."""
+    if type(v) is not int:
+        raise GraphError(f"malformed graph document: expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _json_edge(e) -> tuple[int, int]:
+    if type(e) is not list or len(e) != 2:
+        raise GraphError("malformed graph document: an edge must be a pair of node ids")
+    return _json_int(e[0]), _json_int(e[1])
+
+
 def parse_graph(text: str) -> Cfg:
     """Parse a graph JSON document into a validated Cfg."""
     try:
@@ -183,12 +196,15 @@ def parse_graph(text: str) -> Cfg:
     for key in ("nodes", "edges", "entry", "exits"):
         if key not in doc:
             raise GraphError(f"graph document missing key: {key}")
+    for key in ("nodes", "edges", "exits"):
+        if type(doc[key]) is not list:
+            raise GraphError(f"graph document key {key} must be a list")
     try:
-        nodes = tuple((int(n["id"]), int(n["label"])) for n in doc["nodes"])
-        edges = frozenset((int(e[0]), int(e[1])) for e in doc["edges"])
-        exits = frozenset(int(x) for x in doc["exits"])
-        entry = int(doc["entry"])
-    except (TypeError, KeyError, ValueError, IndexError) as e:
+        nodes = tuple((_json_int(n["id"]), _json_int(n["label"])) for n in doc["nodes"])
+        edges = frozenset(_json_edge(e) for e in doc["edges"])
+        exits = frozenset(_json_int(x) for x in doc["exits"])
+        entry = _json_int(doc["entry"])
+    except (TypeError, KeyError) as e:
         raise GraphError(f"malformed graph document: {e}") from None
     if len(edges) != len(doc["edges"]):
         raise GraphError("duplicate edges in graph document")

@@ -18,6 +18,7 @@ bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +62,7 @@ class Dense:
         return x @ self.W.T + self.b
 
     def backward(self, dout):
-        self.dW[...] = dout.T @ self._x
+        np.matmul(dout.T, self._x, out=self.dW)
         self.db[...] = dout.sum(axis=0)
         return dout @ self.W
 
@@ -83,9 +84,6 @@ class Conv1D:
     @property
     def grads(self):
         return [self.dW, self.db]
-
-    def out_width(self, w: int) -> int:
-        return w + 2 * self.pad - self.k + 1
 
     def forward(self, x, train, rng):
         if self.pad:
@@ -190,51 +188,87 @@ class Flatten:
 # Architectures
 # ---------------------------------------------------------------------------
 
+# Each architecture as one description, read both to build its layers and to
+# check a checkpoint's shapes.  Sizes are output channels / units; None is
+# the class count.
+_ARCH_LAYERS = {
+    "cnn": (
+        ("conv", 46, 3, 1), ("relu",), ("conv", 46, 3, 0), ("relu",),
+        ("pool",), ("dropout", 0.25),
+        ("conv", 92, 3, 1), ("relu",), ("conv", 92, 3, 0), ("relu",),
+        ("pool",), ("dropout", 0.25),
+        ("flatten",), ("dense", 512), ("relu",), ("dropout", 0.5),
+        ("dense", None),
+    ),
+    "dnn": (
+        ("dense", 100), ("relu",), ("dense", 100), ("relu",), ("dropout", 0.25),
+        ("dense", 100), ("relu",), ("dense", 100), ("relu",), ("dropout", 0.5),
+        ("dense", None),
+    ),
+}
+
+ARCHITECTURES = tuple(_ARCH_LAYERS)
+
+
+def _layer_plan(arch: str, input_width: int, num_classes: int) -> list[tuple]:
+    """The architecture's layers as (kind, constructor args, output shape per
+    sample): conv takes (c_in, c_out, k, pad), dense (n_in, n_out).  Only
+    integers are computed, nothing is allocated.  Raises ModelIOError when
+    the input is too narrow to pass the stack."""
+    shape = (1, input_width) if arch == "cnn" else (input_width,)
+    plan = []
+    for kind, *args in _ARCH_LAYERS[arch]:
+        if kind == "conv":
+            c_out, k, pad = args
+            args = [shape[0], c_out, k, pad]
+            shape = (c_out, shape[1] + 2 * pad - k + 1)
+        elif kind == "pool":
+            shape = (shape[0], shape[1] // 2)
+        elif kind == "flatten":
+            shape = (shape[0] * shape[1],)
+        elif kind == "dense":
+            n_out = args[0] or num_classes
+            args = [shape[0], n_out]
+            shape = (n_out,)
+        if shape[-1] < 1:
+            raise ModelIOError(f"input width {input_width} cannot pass the {arch} stack")
+        plan.append((kind, args, shape))
+    return plan
+
+
+def _param_shapes(arch: str, input_width: int, num_classes: int) -> list[list[int]]:
+    """Shapes of Model.param_arrays(), in order, without building the model."""
+    shapes = []
+    for kind, args, _ in _layer_plan(arch, input_width, num_classes):
+        if kind == "conv":
+            c_in, c_out, k, _ = args
+            shapes += [[c_out, c_in, k], [c_out]]
+        elif kind == "dense":
+            n_in, n_out = args
+            shapes += [[n_out, n_in], [n_out]]
+    return shapes
+
+
 def cnn_width_chain(input_width: int) -> list[int]:
     """Activation widths after each conv/pool stage.  Raises when the input
     is too narrow to pass through the documented stack."""
-    w = [input_width]
-    w.append(input_width)        # conv k3 pad 1
-    w.append(w[-1] - 2)          # conv k3 pad 0
-    w.append(w[-1] // 2)         # pool 2/2
-    w.append(w[-1])              # conv k3 pad 1
-    w.append(w[-1] - 2)          # conv k3 pad 0
-    w.append(w[-1] // 2)         # pool 2/2
-    if any(x < 1 for x in w):
-        raise ModelIOError(f"input width {input_width} cannot pass the cnn stack")
-    return w
+    plan = _layer_plan("cnn", input_width, 2)
+    return [input_width] + [shape[1] for kind, _, shape in plan if kind in ("conv", "pool")]
 
 
 def cnn_flatten_width(input_width: int) -> int:
-    return 92 * cnn_width_chain(input_width)[-1]
+    plan = _layer_plan("cnn", input_width, 2)
+    return next(shape[0] for kind, _, shape in plan if kind == "flatten")
 
 
-def _cnn_layers(rng, input_width: int, num_classes: int):
-    flat = cnn_flatten_width(input_width)
-    return [
-        Conv1D(rng, 1, 46, 3, pad=1), ReLU(),
-        Conv1D(rng, 46, 46, 3, pad=0), ReLU(),
-        MaxPool1D(), Dropout(0.25),
-        Conv1D(rng, 46, 92, 3, pad=1), ReLU(),
-        Conv1D(rng, 92, 92, 3, pad=0), ReLU(),
-        MaxPool1D(), Dropout(0.25),
-        Flatten(),
-        Dense(rng, flat, 512), ReLU(), Dropout(0.5),
-        Dense(rng, 512, num_classes),
-    ]
-
-
-def _dnn_layers(rng, input_width: int, num_classes: int):
-    return [
-        Dense(rng, input_width, 100), ReLU(),
-        Dense(rng, 100, 100), ReLU(), Dropout(0.25),
-        Dense(rng, 100, 100), ReLU(),
-        Dense(rng, 100, 100), ReLU(), Dropout(0.5),
-        Dense(rng, 100, num_classes),
-    ]
-
-
-ARCHITECTURES = ("cnn", "dnn")
+def _make_layer(rng, kind: str, args):
+    if kind == "conv":
+        return Conv1D(rng, *args)
+    if kind == "dense":
+        return Dense(rng, *args)
+    if kind == "dropout":
+        return Dropout(*args)
+    return {"relu": ReLU, "pool": MaxPool1D, "flatten": Flatten}[kind]()
 
 
 @dataclass
@@ -309,12 +343,12 @@ def build_model(arch: str, input_width: int, class_names: Sequence[str], seed: i
     if len(class_names) < 2:
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(seed)
-    make = _cnn_layers if arch == "cnn" else _dnn_layers
+    plan = _layer_plan(arch, input_width, len(class_names))
     return Model(
         arch=arch,
         input_width=input_width,
         class_names=tuple(class_names),
-        layers=make(rng, input_width, len(class_names)),
+        layers=[_make_layer(rng, kind, args) for kind, args, _ in plan],
     )
 
 
@@ -349,22 +383,52 @@ def apply_scaler(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarra
 # Training
 # ---------------------------------------------------------------------------
 
+# Elements per Adam sweep: a chunk of each buffer stays in cache across the
+# update's passes, and the two scratch buffers are this size, not full-size.
+ADAM_CHUNK = 32768
+
+
 class Adam:
+    """Adam updating its parameters in place.  Each element takes the textbook
+    operations in the textbook order, so the weights are bit-identical to
+    ``m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``; a step allocates nothing."""
+
     def __init__(self, params: list[np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+        if not all(p.flags.c_contiguous for p in params):
+            raise ValueError("Adam updates contiguous parameter arrays only")
+        self.params = [p.reshape(-1) for p in params]
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        size = min(ADAM_CHUNK, max((p.size for p in self.params), default=0))
+        self._s1, self._s2 = np.empty(size), np.empty(size)
         self.t = 0
 
     def step(self, grads: list[np.ndarray]):
         self.t += 1
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.b1 * m + (1 - self.b1) * g
-            v[...] = self.b2 * v + (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            g = g.reshape(-1)
+            for lo in range(0, p.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, p.size)
+                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                s1, s2 = self._s1[: hi - lo], self._s2[: hi - lo]
+                np.multiply(mc, b1, out=mc)
+                np.multiply(gc, 1 - b1, out=s1)
+                np.add(mc, s1, out=mc)
+                np.multiply(vc, b2, out=vc)
+                np.multiply(gc, 1 - b2, out=s1)
+                np.multiply(s1, gc, out=s1)
+                np.add(vc, s1, out=vc)
+                np.divide(vc, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                np.add(s1, eps, out=s1)
+                np.divide(mc, c1, out=s2)
+                np.multiply(s2, lr, out=s2)
+                np.divide(s2, s1, out=s2)
+                np.subtract(pc, s2, out=pc)
 
 
 def train(
@@ -546,29 +610,31 @@ def load_checkpoint(path: str | Path) -> Model:
     class_names = tuple(header["class_names"])
     if len(class_names) != header["num_classes"]:
         raise ModelIOError("class name list does not match class count")
+    # Everything is checked against the header and the file size before the
+    # model is built, so a short file cannot make the loader allocate much.
+    width = header["input_width"]
+    expected = _param_shapes(header["arch"], width, len(class_names))
+    if header["scaler"]:
+        expected += [[width], [width]]
+    if header["shapes"] != expected:
+        raise ModelIOError("checkpoint shapes do not match the architecture's shape chain")
+    payload = memoryview(raw)[12 + hlen :]
+    if len(payload) != 8 * sum(math.prod(shape) for shape in expected):
+        raise ModelIOError("checkpoint payload length does not match its shapes")
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise ModelIOError("non-finite values in checkpoint")
     try:
-        model = build_model(header["arch"], header["input_width"], class_names, seed=0)
+        model = build_model(header["arch"], width, class_names, seed=0)
     except ValueError as e:
         raise ModelIOError(f"checkpoint header describes no model: {e}") from None
     arrays = model.param_arrays()
     if header["scaler"]:
-        model.scaler_min = np.zeros(model.input_width)
-        model.scaler_max = np.zeros(model.input_width)
+        model.scaler_min = np.zeros(width)
+        model.scaler_max = np.zeros(width)
         arrays = arrays + [model.scaler_min, model.scaler_max]
-    expected = [list(a.shape) for a in arrays]
-    if header["shapes"] != expected:
-        raise ModelIOError("checkpoint shapes do not match the architecture's shape chain")
-    offset = 12 + hlen
+    offset = 0
     for a in arrays:
-        nbytes = a.size * 8
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ModelIOError("checkpoint payload truncated")
-        a[...] = np.frombuffer(chunk, dtype="<f8").reshape(a.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise ModelIOError("trailing bytes in checkpoint")
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ModelIOError("non-finite values in checkpoint")
+        a[...] = values[offset : offset + a.size].reshape(a.shape)
+        offset += a.size
     return model

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +128,36 @@ sgea_max_nodes = 5
 sgea_per_size = 4
 sgea_support_fraction = 0.34
 """
+
+
+# The TINY experiment at seeds 7 and 5 in a fresh PYTHONHASHSEED=0 process;
+# prints the sha256 of every file it wrote, keyed "<seed>/<path>".
+_GOLDEN_PROGRAM = """
+import configparser, hashlib, json, sys
+from pathlib import Path
+from cfgsentinel import experiment
+parser = configparser.ConfigParser()
+parser.optionxform = str
+parser.read_string(sys.argv[2])
+sections = {sec: dict(parser[sec]) for sec in parser.sections()}
+digests = {}
+for seed in (7, 5):
+    root = Path(sys.argv[1]) / str(seed)
+    experiment.run(root, seed=seed, sections=sections)
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            digests[f"{seed}/{p.relative_to(root).as_posix()}"] = hashlib.sha256(p.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="session")
+def golden_tree_digests(tmp_path_factory):
+    """Per-file sha256 of the golden TINY runs; the golden-digest tests pin
+    the files they hold fixed."""
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_PROGRAM, str(tmp_path_factory.mktemp("golden")), TINY_INI],
+        env=subprocess_env(PYTHONHASHSEED="0"),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)

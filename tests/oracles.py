@@ -11,6 +11,8 @@ import itertools
 import math
 from collections import deque
 
+import numpy as np
+
 from cfgsentinel.graph import Cfg
 
 
@@ -273,3 +275,28 @@ def brute_force_mine(graphs, min_support: int, min_nodes: int, max_nodes: int):
         for k in keys:
             counts[k] = counts.get(k, 0) + 1
     return {k: c for k, c in counts.items() if c >= min_support}
+
+
+# ---------------------------------------------------------------------------
+# Training
+# ---------------------------------------------------------------------------
+
+class TextbookAdam:
+    """Adam written as whole-array expressions (Kingma & Ba, arXiv 1412.6980),
+    one temporary per operation.  nn.Adam must produce the same bits."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[...] = self.b1 * m + (1 - self.b1) * g
+            v[...] = self.b2 * v + (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1 ** self.t)
+            vhat = v / (1 - self.b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -23,6 +23,7 @@ from cfgsentinel.features import FEATURE_COUNT
 from cfgsentinel.graph import SampleClass, read_corpus
 
 from conftest import TINY_INI, subprocess_env
+from test_graph import GOOD_GRAPH_DOC, MALFORMED_GRAPH_DOCS
 from test_nn import MALFORMED_HEADERS, rewrite_header
 
 
@@ -394,6 +395,25 @@ def test_malformed_checkpoint_header_exit_4(ws, tmp_path, capsys):
                          "--out", str(tmp_path / "v.jsonl")]) == EXIT_BAD_CONFIG, (defect, role)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_graph_document_exit_5(tmp_path, capsys):
+    cases = dict(MALFORMED_GRAPH_DOCS, good=dict)
+    for defect, edit in sorted(cases.items()):
+        root = tmp_path / defect
+        (root / "graphs").mkdir(parents=True)
+        (root / "graphs" / "g.json").write_text(json.dumps(edit(GOOD_GRAPH_DOC)))
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"samples": [{"id": "g", "class": "Benign", "path": "graphs/g.json"}]}))
+        code = main(["features", "--corpus", str(manifest), "--out", str(root / "f.csv")])
+        err = capsys.readouterr().err
+        if defect == "good":
+            assert code == EXIT_OK and (root / "f.csv").exists()
+            continue
+        assert code == EXIT_RUNTIME, defect
+        assert err.startswith("error: ") and "Traceback" not in err, defect
+        assert not (root / "f.csv").exists()
 
 
 def test_task_without_samples_exit_5(ws, tmp_path, capsys):

@@ -137,6 +137,59 @@ class TestView:
         assert serialize_graph(a) == serialize_graph(b)
 
 
+# A valid two-node document, and edits of it that parse_graph must refuse
+# with GraphError: every id, label, entry, exit and edge endpoint is a JSON
+# integer (not a float, string or bool), every edge exactly a pair.
+GOOD_GRAPH_DOC = {
+    "nodes": [{"id": 0, "label": 0}, {"id": 1, "label": 1}],
+    "edges": [[0, 1]],
+    "entry": 0,
+    "exits": [1],
+}
+
+
+def _node(i, **kw):
+    return lambda d: dict(d, nodes=[dict(n, **kw) if n["id"] == i else n for n in d["nodes"]])
+
+
+MALFORMED_GRAPH_DOCS = {
+    "id_float": _node(0, id=0.9),
+    "id_whole_float": _node(1, id=1.0),
+    "id_str": _node(0, id="0"),
+    "id_bool": _node(1, id=True),
+    "label_float": _node(1, label=1.5),
+    "label_str": _node(0, label="0"),
+    "label_bool": _node(0, label=False),
+    "label_null": _node(0, label=None),
+    "entry_float": lambda d: dict(d, entry=0.0),
+    "entry_str": lambda d: dict(d, entry="0"),
+    "entry_bool": lambda d: dict(d, entry=False),
+    "exit_float": lambda d: dict(d, exits=[1.0]),
+    "exit_str": lambda d: dict(d, exits=["1"]),
+    "exit_bool": lambda d: dict(d, exits=[True]),
+    "exits_str": lambda d: dict(d, exits="1"),
+    "edge_float": lambda d: dict(d, edges=[[0, 1.0]]),
+    "edge_str": lambda d: dict(d, edges=[["0", 1]]),
+    "edge_bool": lambda d: dict(d, edges=[[False, True]]),
+    "edge_triple": lambda d: dict(d, edges=[[0, 1, 1]]),
+    "edge_single": lambda d: dict(d, edges=[[0]]),
+    "edge_as_str": lambda d: dict(d, edges=["01"]),
+    "edges_object": lambda d: dict(d, edges={"0": 1}),
+    "node_as_list": lambda d: dict(d, nodes=[[0, 0], {"id": 1, "label": 1}]),
+}
+
+
+class TestStrictDocument:
+    def test_good_document_parses(self):
+        g = parse_graph(json.dumps(GOOD_GRAPH_DOC))
+        assert g.nodes == ((0, 0), (1, 1)) and g.edges == {(0, 1)}
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_GRAPH_DOCS))
+    def test_defect_rejected(self, defect):
+        with pytest.raises(GraphError):
+            parse_graph(json.dumps(MALFORMED_GRAPH_DOCS[defect](GOOD_GRAPH_DOC)))
+
+
 class TestSerialization:
     def test_round_trip_identity(self, rng):
         for _ in range(50):

@@ -1,7 +1,4 @@
 import hashlib
-import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from cfgsentinel.mining import (
     string_to_code,
     write_patterns,
 )
-from conftest import TINY_INI, cycle_graph, path_graph, random_cfg, subprocess_env, tiny_cfg
+from conftest import cycle_graph, path_graph, random_cfg, tiny_cfg
 import oracles
 
 
@@ -259,46 +256,25 @@ class TestPatternIO:
 # why.
 # ---------------------------------------------------------------------------
 
-_GOLDEN_PROGRAM = """
-import configparser, hashlib, json, sys
-from pathlib import Path
-from cfgsentinel import experiment
-parser = configparser.ConfigParser()
-parser.optionxform = str
-parser.read_string(sys.argv[2])
-sections = {sec: dict(parser[sec]) for sec in parser.sections()}
-digests = {}
-for seed in (7, 5):
-    root = Path(sys.argv[1]) / str(seed)
-    experiment.run(root, seed=seed, sections=sections)
-    for p in sorted((root / "patterns").glob("*.json")):
-        digests[f"{seed}/{p.name}"] = hashlib.sha256(p.read_bytes()).hexdigest()
-print(json.dumps(digests))
-"""
-
 GOLDEN_PATTERN_DIGESTS = {
-    "7/candidates_FamilyA.json": "493da55a7f3907116d0aa212a00ae14384ecd717c406905c9cc221da9c6b1512",
-    "7/candidates_FamilyB.json": "de21df9ed17877bfd6277be19c04390134c34da883e6e68bb3c6aeff9d272575",
-    "7/candidates_FamilyC.json": "d91c1baa582b85c7a1469df376522b459cbf73f04489bef3610a3615cd6bf88d",
-    "7/ranked.json": "dd01e61ff3adf73b12ca75d13e43b65e9c9df0ddb56da6c4d6104353f3e94866",
-    "7/sgea_candidates.json": "d529c80d74177566458678e62f8cec0aafdce631925df573d9fb83b395d3a7fd",
-    "5/candidates_FamilyA.json": "23a7bb83cf18cb008dca30b8893ca6379d154ac78a7d2c85acdf86a46fa3f8d9",
-    "5/candidates_FamilyB.json": "7315e1634f8779c2879a8449ba0bd95a923330c50e9c2571b8e04e71e1563492",
-    "5/candidates_FamilyC.json": "f6255d40e709ec6190436e23453f66fabf9a699150f1d6066c52527c044f3fda",
-    "5/ranked.json": "becf794724a94a4128814bffb25001e0c48d0b9f3d65f7ebf46c808d9ebc1835",
-    "5/sgea_candidates.json": "026a4f67ed43c27e17a4646f4623fc85a806fb3322c5ce6511b15f3d418d44ed",
+    "7/patterns/candidates_FamilyA.json": "493da55a7f3907116d0aa212a00ae14384ecd717c406905c9cc221da9c6b1512",
+    "7/patterns/candidates_FamilyB.json": "de21df9ed17877bfd6277be19c04390134c34da883e6e68bb3c6aeff9d272575",
+    "7/patterns/candidates_FamilyC.json": "d91c1baa582b85c7a1469df376522b459cbf73f04489bef3610a3615cd6bf88d",
+    "7/patterns/ranked.json": "dd01e61ff3adf73b12ca75d13e43b65e9c9df0ddb56da6c4d6104353f3e94866",
+    "7/patterns/sgea_candidates.json": "d529c80d74177566458678e62f8cec0aafdce631925df573d9fb83b395d3a7fd",
+    "5/patterns/candidates_FamilyA.json": "23a7bb83cf18cb008dca30b8893ca6379d154ac78a7d2c85acdf86a46fa3f8d9",
+    "5/patterns/candidates_FamilyB.json": "7315e1634f8779c2879a8449ba0bd95a923330c50e9c2571b8e04e71e1563492",
+    "5/patterns/candidates_FamilyC.json": "f6255d40e709ec6190436e23453f66fabf9a699150f1d6066c52527c044f3fda",
+    "5/patterns/ranked.json": "becf794724a94a4128814bffb25001e0c48d0b9f3d65f7ebf46c808d9ebc1835",
+    "5/patterns/sgea_candidates.json": "026a4f67ed43c27e17a4646f4623fc85a806fb3322c5ce6511b15f3d418d44ed",
 }
 
 
-def test_golden_pattern_digests(tmp_path):
+def test_golden_pattern_digests(golden_tree_digests):
     # the pattern files hold only integers and strings, so their bytes are
     # pinned without a numpy-version condition
-    done = subprocess.run(
-        [sys.executable, "-c", _GOLDEN_PROGRAM, str(tmp_path), TINY_INI],
-        env=subprocess_env(PYTHONHASHSEED="0"),
-        capture_output=True, text=True, check=True,
-    )
-    assert json.loads(done.stdout) == GOLDEN_PATTERN_DIGESTS
+    patterns = {k: v for k, v in golden_tree_digests.items() if k.split("/")[1] == "patterns"}
+    assert patterns == GOLDEN_PATTERN_DIGESTS
 
 
 def _labelled_corpus(seed: int):

@@ -1,10 +1,14 @@
 import json
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cfgsentinel import nn
+
+import oracles
 
 
 def signature(model):
@@ -196,6 +200,48 @@ class TestTraining:
             nn.train(X, np.zeros(3, dtype=int), ("a", "b"), epochs=1)
 
 
+def _peak_traced_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAdam:
+    # below, equal to, a multiple of and not a multiple of the sweep chunk
+    SHAPES = [(1,), (nn.ADAM_CHUNK,), (2, nn.ADAM_CHUNK), (2 * nn.ADAM_CHUNK + 4465,),
+              (7, 3, 5), (92, 92, 3)]
+
+    @pytest.mark.parametrize("shapes", [[s] for s in SHAPES] + [SHAPES])
+    def test_matches_textbook_bit_for_bit(self, shapes):
+        rng = np.random.default_rng(len(shapes) * 31 + shapes[0][0])
+        start = [rng.standard_normal(s) for s in shapes]
+        ours = [p.copy() for p in start]
+        ref = [p.copy() for p in start]
+        opt, oracle = nn.Adam(ours, lr=3e-3), oracles.TextbookAdam(ref, lr=3e-3)
+        for step in range(6):
+            # grads over many magnitudes, with exact zeros every third step
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, size=s)
+                     * (step % 3 != 2 or rng.random(s) < 0.5) for s in shapes]
+            opt.step(grads)
+            oracle.step(grads)
+            for a, b in zip(ours, ref):
+                assert a.tobytes() == b.tobytes()
+
+    def test_step_allocates_no_full_size_temporaries(self):
+        p = np.zeros(2_000_000)
+        g = np.full_like(p, 0.5)
+        opt = nn.Adam([p])
+        opt.step([g])
+        assert _peak_traced_bytes(lambda: opt.step([g])) < 2 * 2**20
+
+    def test_non_contiguous_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            nn.Adam([np.zeros((4, 6))[:, ::2]])
+
+
 class TestEvaluate:
     def constant_model(self, predicted_class, names=("Benign", "Malware")):
         m = nn.build_model("dnn", 23, names, seed=0)
@@ -336,6 +382,26 @@ class TestCheckpoint:
         with pytest.raises(nn.ModelIOError):
             nn.load_checkpoint(p)
 
+    @pytest.mark.parametrize("shapes", [
+        [],
+        [[100, 200000], [100], [100, 100], [100], [100, 100], [100],
+         [100, 100], [100], [2, 100], [2]],
+    ])
+    def test_header_cannot_make_loader_allocate(self, tmp_path, shapes):
+        # a header asking for a 200000-wide dnn (160 MB of weights) in a file
+        # of a few hundred bytes, with shapes that disagree or no payload
+        header = {"arch": "dnn", "class_names": ["a", "b"], "input_width": 200000,
+                  "num_classes": 2, "scaler": False, "shapes": shapes}
+        blob = json.dumps(header).encode()
+        p = tmp_path / "wide.ckpt"
+        p.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+
+        def load():
+            with pytest.raises(nn.ModelIOError):
+                nn.load_checkpoint(p)
+
+        assert _peak_traced_bytes(load) < 2**20
+
     def test_rewritten_header_still_loads(self, tmp_path, rng):
         X = rng.uniform(size=(10, 23))
         y = np.array([0, 1] * 5)
@@ -344,3 +410,37 @@ class TestCheckpoint:
         nn.save_checkpoint(m, p)
         p.write_bytes(rewrite_header(p.read_bytes(), dict))
         assert np.array_equal(nn.load_checkpoint(p).predict_proba(X), m.predict_proba(X))
+
+
+# sha256 of the float artifacts of the golden TINY runs (see conftest),
+# recorded before the in-place Adam replaced the whole-array one.
+GOLDEN_FLOAT_DIGESTS = {
+    "7/encodings/test.csv": "755670e7d28742c2c2674318949f2d9f7fc3e8917bcce367f7d3865e50dbf00c",
+    "7/encodings/train.csv": "b05e8c4a7308df3827f08092b40e3e1e5e8dd9017d81a5a82b56d5d4865f68ae",
+    "7/features/test.csv": "2b4555e923da916e84a2ecd1989226e50781f3b74a1dae1ea3c514b0ec508aba",
+    "7/features/train.csv": "687d24457138392c794959070be80722a4b996fa424fa7cea27f96dfbe1910c5",
+    "7/metrics/classifier.json": "3e35d28fe86a680eb095eb0927c3a876ede88381bfc55e8ec91eb3614de8f844",
+    "7/metrics/detector.json": "4e243e099415bd3dd767dd59cdad5533f36da01a4e01246735edcbec96abc069",
+    "7/metrics/sbd.json": "e1bb68d3212bb5dfec92dfdd8f91dc5fabc6655cd22a2b1f6085bf7f2a823160",
+    "7/models/classifier.ckpt": "245733b4d845026438b7ab3a1de2b95d827c77243db10a7d8ac445b3a18192c8",
+    "7/models/detector.ckpt": "0da7e5a3817fac32d7cbffbe3b579118937f19586d98e3f5f0372030ba8cfd4c",
+    "7/models/sbd.ckpt": "8d4bdc1a9e24c04c9d6031af4bb751ace5d04ae428c1cd2c3b6599957856ae93",
+    "5/encodings/test.csv": "2346e317e78d7d1630700bf4792e92b390dc2a0335eda051a9e8212eee5b0049",
+    "5/encodings/train.csv": "fba32da8a85e20eafd4cca4c1d927ffc7a776e77d486043df8e61db4ac87c1cb",
+    "5/features/test.csv": "94fa355cd26a86472ca03edee92c1db5d84aa43f8209a4fad57ee99acb67f7cb",
+    "5/features/train.csv": "66575bc4469f1148ef4ec4f8d42a973f761a1c097f9fa15fa81eaf28918149e0",
+    "5/metrics/classifier.json": "df44ebf52e4ba04c437a0ef81c55484fe7f2686eb8549b4f2ae9d2a8dbfc4bde",
+    "5/metrics/detector.json": "bcc40ceb40f184fc9314739d8c742e0b528f662768a4f0f7000ca05c75ff468c",
+    "5/metrics/sbd.json": "e1bb68d3212bb5dfec92dfdd8f91dc5fabc6655cd22a2b1f6085bf7f2a823160",
+    "5/models/classifier.ckpt": "4675143917ae97fd36e4c1b30abcbb146b2dd0c4bfc51971c98ba2d8a9e87f6d",
+    "5/models/detector.ckpt": "80026b040956acf6253ae86d6d0793b52290ee115c79223810ff3c9619301c7a",
+    "5/models/sbd.ckpt": "744890a935e646716d62edc589a2b13fec47a557dacdb35d0ecfc97a9ff30284",
+}
+
+
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.") and sys.version_info >= (3, 11)),
+                    reason="float artifacts are pinned under numpy 2.4 and Python >= 3.11")
+def test_golden_float_artifact_digests(golden_tree_digests):
+    floats = {k: v for k, v in golden_tree_digests.items()
+              if k.split("/")[1] in ("models", "metrics", "encodings", "features")}
+    assert floats == GOLDEN_FLOAT_DIGESTS
