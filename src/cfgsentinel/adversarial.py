@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .features import extract_features
 from .graph import Cfg, LabeledSample
@@ -165,6 +165,39 @@ def predict_class(model: Model, g: Cfg) -> str:
     return model.class_names[int(model.predict(extract_features(g)[None, :])[0])]
 
 
+def _attack_victims(
+    model: Model,
+    victims: Sequence[LabeledSample],
+    report: AttackReport,
+    craft: Callable[[Cfg], tuple[str, int, int, Optional[Cfg]]],
+    include_timing: bool,
+) -> tuple[AttackReport, dict[str, Cfg]]:
+    """The loop both attacks share: victims already predicted as the target
+    are pre-satisfied; `craft` attacks each other victim and returns its
+    prediction, injected node count, attempts and merged graph (or None)."""
+    target_class = report.target_class
+    if target_class not in model.class_names:
+        raise AttackError(f"model has no class {target_class!r}")
+    merged: dict[str, Cfg] = {}
+    for victim in victims:
+        t0 = time.perf_counter()
+        orig = predict_class(model, victim.cfg)
+        if orig == target_class:
+            report.records.append(
+                AttackRecord(victim.id, orig, orig, 0, 0, None, pre_satisfied=True)
+            )
+            continue
+        adv, injected, attempts, graph = craft(victim.cfg)
+        dt = time.perf_counter() - t0
+        if graph is not None:
+            merged[victim.id] = graph
+        report.records.append(
+            AttackRecord(victim.id, orig, adv, injected, attempts, dt if include_timing else None)
+        )
+    report.validate()
+    return report, merged
+
+
 def gea_attack(
     model: Model,
     victims: Sequence[LabeledSample],
@@ -175,31 +208,14 @@ def gea_attack(
 ) -> tuple[AttackReport, dict[str, Cfg]]:
     """Merge the strategy-selected pool sample into every victim.  Returns
     the report and the merged graph per non-pre-satisfied victim."""
-    if target_class not in model.class_names:
-        raise AttackError(f"model has no class {target_class!r}")
-    sel = select_by_size(pool, strategy)
-    report = AttackReport(attack="gea", strategy=strategy, target_class=target_class)
-    merged: dict[str, Cfg] = {}
-    for victim in victims:
-        t0 = time.perf_counter()
-        orig = predict_class(model, victim.cfg)
-        if orig == target_class:
-            report.records.append(
-                AttackRecord(victim.id, orig, orig, 0, 0, None, pre_satisfied=True)
-            )
-            continue
-        adv_cfg = gea_merge(victim.cfg, sel.cfg)
-        adv = predict_class(model, adv_cfg)
-        dt = time.perf_counter() - t0
-        merged[victim.id] = adv_cfg
-        report.records.append(
-            AttackRecord(
-                victim.id, orig, adv, sel.cfg.node_count, 1,
-                dt if include_timing else None,
-            )
-        )
-    report.validate()
-    return report, merged
+    sel = select_by_size(pool, strategy).cfg
+
+    def craft(victim: Cfg):
+        adv_cfg = gea_merge(victim, sel)
+        return predict_class(model, adv_cfg), sel.node_count, 1, adv_cfg
+
+    report = AttackReport("gea", strategy, target_class)
+    return _attack_victims(model, victims, report, craft, include_timing)
 
 
 @dataclass(frozen=True)
@@ -234,7 +250,7 @@ def sgea_attack(
         attempts += 1
         hit = adv == target_class if mode == "targeted" else adv != orig
         if hit:
-            return SgeaResult(adv_cfg, True, attempts, pat.graph.node_count, orig, adv)
+            return SgeaResult(adv_cfg, True, attempts, pat.node_count, orig, adv)
     return SgeaResult(victim, False, attempts, 0, orig, orig)
 
 
@@ -246,30 +262,16 @@ def sgea_attack_all(
     mode: str = "targeted",
     include_timing: bool = True,
 ) -> tuple[AttackReport, dict[str, Cfg]]:
-    if target_class not in model.class_names:
-        raise AttackError(f"model has no class {target_class!r}")
-    report = AttackReport(attack="sgea", strategy="ascending", target_class=target_class)
-    merged: dict[str, Cfg] = {}
-    for victim in victims:
-        t0 = time.perf_counter()
-        orig = predict_class(model, victim.cfg)
-        if orig == target_class:
-            report.records.append(
-                AttackRecord(victim.id, orig, orig, 0, 0, None, pre_satisfied=True)
-            )
-            continue
-        res = sgea_attack(model, victim.cfg, candidates, target_class, mode)
-        dt = time.perf_counter() - t0
-        if res.success:
-            merged[victim.id] = res.graph
-        report.records.append(
-            AttackRecord(
-                victim.id, orig, res.adversarial_prediction, res.injected_nodes,
-                res.attempts, dt if include_timing else None,
-            )
-        )
-    report.validate()
-    return report, merged
+    """`sgea_attack` on every victim; returns the report and the merged
+    graph per successful victim."""
+
+    def craft(victim: Cfg):
+        res = sgea_attack(model, victim, candidates, target_class, mode)
+        return (res.adversarial_prediction, res.injected_nodes, res.attempts,
+                res.graph if res.success else None)
+
+    report = AttackReport("sgea", "ascending", target_class)
+    return _attack_victims(model, victims, report, craft, include_timing)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .graph import (
     GraphError,
     SampleClass,
     read_corpus,
+    read_json,
     write_corpus,
 )
 
@@ -35,12 +36,17 @@ class MissingInput(FileNotFoundError):
     pass
 
 
+def _existing(path: str, what: str) -> Path:
+    p = Path(path)
+    if not p.exists():
+        raise MissingInput(f"{what} not found: {path}")
+    return p
+
+
 def _read_sections(path: str | None) -> dict[str, dict[str, str]]:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"config file not found: {path}")
+    p = _existing(path, "config file")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys like familyA_count are case-sensitive
     try:
@@ -51,22 +57,15 @@ def _read_sections(path: str | None) -> dict[str, dict[str, str]]:
 
 
 def _load_corpus(manifest: str):
-    p = Path(manifest)
-    if not p.exists():
-        raise MissingInput(f"manifest not found: {manifest}")
-    return read_corpus(p)
+    return read_corpus(_existing(manifest, "manifest"))
 
 
 def _load_splits(path: str) -> tuple[list[str], list[str]]:
-    p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"splits file not found: {path}")
-    try:
-        doc = json.loads(p.read_text())
-        ids = doc["train"], doc["test"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise GraphError(f"bad splits file {path}: {e!r}") from None
-    if not all(isinstance(part, list) and all(isinstance(i, str) for i in part) for part in ids):
+    doc = read_json(_existing(path, "splits file"))
+    ids = (doc.get("train"), doc.get("test")) if isinstance(doc, dict) else ()
+    if not ids or not all(
+        isinstance(part, list) and all(isinstance(i, str) for i in part) for part in ids
+    ):
         raise GraphError(f"bad splits file {path}: train and test must be lists of sample ids")
     return ids
 
@@ -81,10 +80,7 @@ def _split_samples(samples, splits_path: str):
 
 
 def _load_model(path: str) -> nn.Model:
-    p = Path(path)
-    if not p.exists():
-        raise MissingInput(f"model checkpoint not found: {path}")
-    return nn.load_checkpoint(p)
+    return nn.load_checkpoint(_existing(path, "model checkpoint"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +199,7 @@ def cmd_rank(args, cfg) -> int:
     train_s, _ = _split_samples(samples, args.splits) if args.splits else (list(samples), [])
     candidates = {}
     for fam, path in zip([f.value for f in FAMILIES], args.patterns):
-        p = Path(path)
-        if not p.exists():
-            raise MissingInput(f"pattern file not found: {path}")
-        candidates[fam] = mining.read_patterns(p)
+        candidates[fam] = mining.read_patterns(_existing(path, "pattern file"))
     benign_train = [s for s in train_s if s.cls is SampleClass.BENIGN]
     family_train = {f.value: [s for s in train_s if s.cls is f] for f in FAMILIES}
     rank = dict(cfg["rank"], k=args.k or cfg["rank"]["k"])
@@ -220,10 +213,7 @@ def cmd_rank(args, cfg) -> int:
 
 def cmd_encode(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
-    ranked_path = Path(args.ranked)
-    if not ranked_path.exists():
-        raise MissingInput(f"ranked pattern file not found: {args.ranked}")
-    ranked = fhmc.read_ranked(ranked_path)
+    ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
     bits = fhmc.encode_many(samples, ranked, cfg["encode"]["budget_seconds"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -252,10 +242,7 @@ def cmd_attack(args, cfg) -> int:
     else:
         if not args.patterns:
             raise MissingInput("sgea requires --patterns")
-        p = Path(args.patterns[0])
-        if not p.exists():
-            raise MissingInput(f"pattern file not found: {args.patterns[0]}")
-        cands = mining.read_patterns(p)
+        cands = mining.read_patterns(_existing(args.patterns[0], "pattern file"))
         report, _ = adversarial.sgea_attack_all(model, victims, cands, target)
     adversarial.write_report_json(report, out)
     csv_path = out.with_suffix(".csv")
@@ -271,10 +258,7 @@ def cmd_pipeline(args, cfg) -> int:
     detector = _load_model(args.detector)
     classifier = _load_model(args.classifier)
     sbd = _load_model(args.sbd)
-    ranked_path = Path(args.ranked)
-    if not ranked_path.exists():
-        raise MissingInput(f"ranked pattern file not found: {args.ranked}")
-    ranked = fhmc.read_ranked(ranked_path)
+    ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
     samples = _load_corpus(args.corpus)
     if args.splits:
         _, samples = _split_samples(samples, args.splits)

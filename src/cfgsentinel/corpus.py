@@ -11,7 +11,7 @@ an independent sub-seed per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -183,6 +183,7 @@ _CLASS_TAG = {
     SampleClass.FAMILY_B: "familyB",
     SampleClass.FAMILY_C: "familyC",
 }
+_TAG_CLASS = {tag: cls for cls, tag in _CLASS_TAG.items()}
 
 
 def generate(config: CorpusConfig) -> list[LabeledSample]:
@@ -229,6 +230,12 @@ def split(
     return train, test
 
 
+# Settable keys: the scalar fields of CorpusConfig, and "<tag>_<field>" for
+# every ClassProfile field; each value is cast with its field's type.
+_SCALAR_TYPES = {k: t for k, t in get_type_hints(CorpusConfig).items() if k != "profiles"}
+_PROFILE_TYPES = get_type_hints(ClassProfile)
+
+
 def config_from_mapping(items: Mapping[str, str]) -> CorpusConfig:
     """Build a CorpusConfig from flat string key/value pairs (e.g. an INI
     section).  Unknown keys are rejected."""
@@ -236,49 +243,19 @@ def config_from_mapping(items: Mapping[str, str]) -> CorpusConfig:
     profiles = dict(cfg.profiles)
     scalar: dict[str, object] = {}
     for key, value in items.items():
+        tag, _, name = key.partition("_")
+        cls = _TAG_CLASS.get(tag)
+        cast = _SCALAR_TYPES.get(key) or (_PROFILE_TYPES.get(name) if cls else None)
+        if cast is None:
+            raise CorpusError(f"unknown corpus config key: {key}")
         try:
-            _apply_config_item(key, value, scalar, profiles)
-        except (TypeError, ValueError) as e:
-            if isinstance(e, CorpusError):
-                raise
+            value = cast(value)
+        except (TypeError, ValueError):
             raise CorpusError(f"bad value for {key}: {value!r}") from None
+        if key in _SCALAR_TYPES:
+            scalar[key] = value
+        else:
+            profiles[cls] = replace(profiles[cls], **{name: value})
     out = replace(cfg, profiles=profiles, **scalar)
     out.validate()
     return out
-
-
-def _apply_config_item(key, value, scalar, profiles) -> None:
-    if key == "seed":
-        scalar["seed"] = int(value)
-    elif key == "label_mode":
-        scalar["label_mode"] = value
-    elif key == "motif_prob":
-        scalar["motif_prob"] = float(value)
-    else:
-        parts = key.split("_", 1)
-        cls = _tag_to_class(parts[0]) if parts else None
-        if cls is None or len(parts) != 2:
-            raise CorpusError(f"unknown corpus config key: {key}")
-        field_name = parts[1]
-        prof = profiles[cls]
-        if field_name == "count":
-            profiles[cls] = replace(prof, count=int(value))
-        elif field_name == "node_lo":
-            profiles[cls] = replace(prof, node_lo=int(value))
-        elif field_name == "node_hi":
-            profiles[cls] = replace(prof, node_hi=int(value))
-        elif field_name == "extra_edges":
-            profiles[cls] = replace(prof, extra_edges=float(value))
-        elif field_name == "back_edges":
-            profiles[cls] = replace(prof, back_edges=float(value))
-        elif field_name == "self_loops":
-            profiles[cls] = replace(prof, self_loops=float(value))
-        else:
-            raise CorpusError(f"unknown corpus config key: {key}")
-
-
-def _tag_to_class(tag: str) -> SampleClass | None:
-    for cls, t in _CLASS_TAG.items():
-        if t == tag:
-            return cls
-    return None

@@ -205,7 +205,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     )
     by_size: dict[int, list] = {}
     for p in sgea_pool:
-        by_size.setdefault(p.graph.node_count, []).append(p)
+        by_size.setdefault(p.node_count, []).append(p)
     sgea_candidates = [
         p for size in sorted(by_size) for p in by_size[size][:attack["sgea_per_size"]]
     ]

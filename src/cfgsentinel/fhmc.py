@@ -22,9 +22,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .features import extract_features
-from .graph import Cfg, LabeledSample, FAMILIES
+from .graph import Cfg, LabeledSample, FAMILIES, read_json
 from .isomorphism import is_subgraph
-from .mining import Pattern, code_to_string, string_to_code, code_to_graph, gspan_mine
+from .mining import Pattern, gspan_mine, pattern_entry, pattern_from_entry
 from .nn import Model, train
 
 SBD_CLASSES = ("Benign", "Suspicious")
@@ -335,15 +335,13 @@ def write_ranked(ranked: RankedPatternSet, path: str | Path) -> None:
     doc = {
         "families": {
             fam: [
-                {
-                    "dfs_code": code_to_string(rp.pattern.code),
-                    "node_count": rp.pattern.node_count,
-                    "family_frequency": rp.family_frequency,
-                    "coverage": rp.coverage,
-                    "benign_occurrences": rp.benign_occurrences,
-                    "rank_score": rp.rank_score,
-                    "support": dict(sorted(rp.pattern.support.items())),
-                }
+                pattern_entry(
+                    rp.pattern,
+                    family_frequency=rp.family_frequency,
+                    coverage=rp.coverage,
+                    benign_occurrences=rp.benign_occurrences,
+                    rank_score=rp.rank_score,
+                )
                 for rp in rps
             ]
             for fam, rps in ranked.per_family.items()
@@ -353,30 +351,28 @@ def write_ranked(ranked: RankedPatternSet, path: str | Path) -> None:
 
 
 def read_ranked(path: str | Path) -> RankedPatternSet:
-    doc = json.loads(Path(path).read_text())
-    per_family: dict[str, list[RankedPattern]] = {}
-    for fam, entries in doc["families"].items():
-        rps = []
-        for e in entries:
-            code = string_to_code(e["dfs_code"])
-            pat = Pattern(
-                code=code,
-                graph=code_to_graph(code),
-                support={str(k): int(v) for k, v in e["support"].items()},
-                node_count=int(e["node_count"]),
+    """A ranked set written by `write_ranked`, each entry read by
+    `mining.pattern_from_entry`.  Raises RankingError unless the document is
+    {"families": {family: [entry, ...]}} with families from FAMILY_CLASSES."""
+    doc = read_json(path, RankingError)
+    families = doc.get("families") if isinstance(doc, dict) else None
+    if not isinstance(families, dict) or not all(
+        fam in FAMILY_CLASSES and isinstance(v, list) for fam, v in families.items()
+    ):
+        raise RankingError(f"{path}: 'families' must map names from {FAMILY_CLASSES} to lists")
+    return RankedPatternSet(per_family={
+        fam: [
+            RankedPattern(
+                pattern_from_entry(e, f"{path}: {fam} pattern {i}",
+                                   counts=("family_frequency", "benign_occurrences"),
+                                   numbers=("coverage", "rank_score")),
+                fam, e["family_frequency"], float(e["coverage"]),
+                e["benign_occurrences"], float(e["rank_score"]),
             )
-            rps.append(
-                RankedPattern(
-                    pattern=pat,
-                    family=fam,
-                    family_frequency=int(e["family_frequency"]),
-                    coverage=float(e["coverage"]),
-                    benign_occurrences=int(e["benign_occurrences"]),
-                    rank_score=float(e["rank_score"]),
-                )
-            )
-        per_family[fam] = rps
-    return RankedPatternSet(per_family=per_family)
+            for i, e in enumerate(entries)
+        ]
+        for fam, entries in families.items()
+    })
 
 
 def write_verdicts(

@@ -158,19 +158,18 @@ def _validate(g: Cfg) -> None:
             raise GraphError(f"exit node {x} not in node set")
 
 
-def out_adjacency(g: Cfg) -> dict[int, tuple[int, ...]]:
-    """Successor lists, sorted, one entry per node (possibly empty)."""
-    return dict(g.view.succ)
-
-
-def in_adjacency(g: Cfg) -> dict[int, tuple[int, ...]]:
-    """Predecessor lists, sorted, one entry per node (possibly empty)."""
-    return dict(g.view.pred)
-
-
 # ---------------------------------------------------------------------------
 # Graph JSON document format
 # ---------------------------------------------------------------------------
+
+def read_json(path: str | Path, error: type[ValueError] = GraphError):
+    """The JSON value stored in `path`; a file that cannot be read or does
+    not hold a JSON document raises `error`."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (OSError, ValueError, RecursionError) as e:
+        raise error(f"{path} is not a readable JSON document: {e}") from None
+
 
 def _json_int(v) -> int:
     """A JSON integer as is; floats, strings and bools are refused, not cast."""
@@ -189,7 +188,7 @@ def parse_graph(text: str) -> Cfg:
     """Parse a graph JSON document into a validated Cfg."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise GraphError(f"malformed graph document: {e}") from None
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
@@ -338,24 +337,31 @@ def write_corpus(samples: Sequence[LabeledSample], root: str | Path) -> Path:
 
 
 def read_corpus(manifest_path: str | Path) -> list[LabeledSample]:
-    """Load all samples referenced by a corpus manifest."""
+    """Load all samples referenced by a corpus manifest: an object whose
+    "samples" list holds {"id", "class", "path"} objects with string values,
+    each path a graph document inside the manifest's directory."""
     manifest_path = Path(manifest_path)
-    try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise GraphError(f"malformed manifest: {e}") from None
-    if not isinstance(doc, dict) or "samples" not in doc:
-        raise GraphError("manifest missing 'samples' key")
+    doc = read_json(manifest_path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
+        raise GraphError("manifest must be an object with a 'samples' list")
+    root = manifest_path.parent.resolve()
     samples = []
     seen_ids = set()
     for entry in doc["samples"]:
-        try:
-            sid, cls, rel = entry["id"], entry["class"], entry["path"]
-        except (TypeError, KeyError) as e:
-            raise GraphError(f"malformed manifest entry: {e}") from None
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("id", "class", "path"))):
+            raise GraphError("malformed manifest entry: id, class and path must be strings")
+        sid, rel = entry["id"], entry["path"]
         if sid in seen_ids:
             raise GraphError(f"duplicate sample id in manifest: {sid}")
         seen_ids.add(sid)
-        cfg = load_graph(manifest_path.parent / rel)
-        samples.append(LabeledSample(id=sid, cfg=cfg, cls=SampleClass.from_string(cls)))
+        cls = SampleClass.from_string(entry["class"])
+        try:
+            path = (root / rel).resolve()
+            text = path.read_text() if path.is_relative_to(root) else None
+        except (OSError, ValueError) as e:
+            raise GraphError(f"sample {sid}: cannot read {rel!r}: {e}") from None
+        if text is None:
+            raise GraphError(f"sample {sid}: path {rel!r} is outside the manifest's directory")
+        samples.append(LabeledSample(id=sid, cfg=parse_graph(text), cls=cls))
     return samples

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import Cfg, GraphView, SampleClass, graph_doc, parse_graph
+from .graph import Cfg, GraphError, GraphView, SampleClass, graph_doc, read_json
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
@@ -229,6 +231,8 @@ def code_to_graph(code: Code) -> Cfg:
     entry is the DFS root; exits are the sinks (last vertex when none)."""
     n = _vertex_count(code)
     labels = _code_labels(code)
+    if len(labels) != n or not all(0 <= v < n for v in labels):
+        raise MiningError(f"DFS indices of a {n}-vertex code must be 0..{n - 1}")
     arcs = _code_arcs(code)
     sources = {u for u, _ in arcs}
     sinks = [v for v in range(n) if v not in sources]
@@ -247,7 +251,10 @@ def code_to_string(code: Code) -> str:
 def string_to_code(s: str) -> Code:
     entries = []
     for part in s.split(";"):
-        nums = tuple(int(x) for x in part.split(","))
+        try:
+            nums = tuple(int(x) for x in part.split(","))
+        except ValueError:
+            nums = ()
         if len(nums) != 5:
             raise MiningError(f"malformed DFS code entry: {part!r}")
         entries.append(nums)
@@ -258,63 +265,90 @@ def string_to_code(s: str) -> Code:
 # Patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Pattern:
-    """A mined subgraph: canonical DFS code, materialized graph, per-class
-    support counts, and (for discriminative mining) a CORK quality."""
+    """A mined subgraph: canonical DFS code, per-class support counts, and
+    (for discriminative mining) a CORK quality.  The code is its only stored
+    structure, and patterns compare by it; node count and graph (built on
+    first use) derive from it."""
 
     code: Code
-    graph: Cfg = field(repr=False)
-    support: Mapping[str, int]
-    node_count: int
-    quality: int | None = None
-    supporting_ids: Mapping[str, frozenset[str]] | None = field(default=None, repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
+    support: Mapping[str, int] = field(compare=False)
+    quality: int | None = field(default=None, compare=False)
+    supporting_ids: Mapping[str, frozenset[str]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def total_support(self) -> int:
         return sum(self.support.values())
 
+    @property
+    def node_count(self) -> int:
+        return _vertex_count(self.code)
 
-def write_patterns(patterns: Sequence["Pattern"], path: str | Path) -> None:
-    doc = {
-        "patterns": [
-            {
-                "dfs_code": code_to_string(p.code),
-                "graph": graph_doc(p.graph),
-                "support": dict(sorted(p.support.items())),
-                "quality": p.quality,
-                "node_count": p.node_count,
-            }
-            for p in patterns
-        ]
-    }
+    @cached_property
+    def graph(self) -> Cfg:
+        return code_to_graph(self.code)
+
+
+def pattern_entry(p: Pattern, **fields) -> dict:
+    """A pattern-file entry: the pattern's code, node count and support,
+    plus `fields`; `pattern_from_entry` reads it back."""
+    return dict(fields, dfs_code=code_to_string(p.code), node_count=p.node_count,
+                support=dict(sorted(p.support.items())))
+
+
+def write_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
+    doc = {"patterns": [pattern_entry(p, graph=graph_doc(p.graph), quality=p.quality)
+                        for p in patterns]}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def read_patterns(path: str | Path) -> list["Pattern"]:
-    doc = json.loads(Path(path).read_text())
-    out = []
-    for entry in doc["patterns"]:
-        code = string_to_code(entry["dfs_code"])
-        g = parse_graph(json.dumps(entry["graph"]))
-        out.append(
-            Pattern(
-                code=code,
-                graph=g,
-                support={str(k): int(v) for k, v in entry["support"].items()},
-                node_count=int(entry["node_count"]),
-                quality=entry.get("quality"),
-            )
-        )
-    return out
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def pattern_from_entry(entry, where: str, counts=(), numbers=(), graph=False) -> Pattern:
+    """The Pattern a pattern-file entry names.  Raises MiningError, prefixed
+    with `where`, unless `dfs_code` is the canonical code of its own graph,
+    `node_count` (and with `graph` set, the stored `graph`) is the code's,
+    `support` is an object of counts, `quality` an integer or null, and the
+    keys in `counts` and `numbers` hold counts and finite numbers."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("dfs_code"), str):
+        raise MiningError(f"{where}: an entry is an object with a dfs_code string")
+    support, quality = entry.get("support"), entry.get("quality")
+    if not isinstance(support, dict) or not all(map(_is_count, support.values())):
+        raise MiningError(f"{where}: support must map class names to counts")
+    if quality is not None and type(quality) is not int:
+        raise MiningError(f"{where}: quality must be an integer or null")
+    if not all(_is_count(entry.get(k)) for k in counts) or not all(
+        type(entry.get(k)) in (int, float) and math.isfinite(entry[k]) for k in numbers
+    ):
+        raise MiningError(f"{where}: {', '.join(counts)} must be counts, "
+                          f"{', '.join(numbers)} finite numbers")
+    try:
+        p = Pattern(code=string_to_code(entry["dfs_code"]), support=support, quality=quality)
+        canonical = canonical_dfs_code(p.graph)
+    except (MiningError, GraphError) as e:
+        raise MiningError(f"{where}: {e}") from None
+    if canonical != p.code:
+        raise MiningError(f"{where}: dfs_code is not the canonical code of its graph")
+    if not _is_count(entry.get("node_count")) or entry["node_count"] != p.node_count:
+        raise MiningError(f"{where}: node_count must be {p.node_count}, the code's")
+    if graph and (json.dumps(entry.get("graph"), sort_keys=True)
+                  != json.dumps(graph_doc(p.graph), sort_keys=True)):
+        raise MiningError(f"{where}: graph is not the graph of its dfs_code")
+    return p
+
+
+def read_patterns(path: str | Path) -> list[Pattern]:
+    """Patterns written by `write_patterns`, each entry (and its stored
+    graph) checked by `pattern_from_entry`."""
+    doc = read_json(path, MiningError)
+    if not isinstance(doc, dict) or not isinstance(doc.get("patterns"), list):
+        raise MiningError(f"{path}: a pattern file is an object with a 'patterns' list")
+    return [pattern_from_entry(e, f"{path}: pattern {i}", graph=True)
+            for i, e in enumerate(doc["patterns"])]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +443,7 @@ def _make_pattern(
 ) -> Pattern:
     return Pattern(
         code=code,
-        graph=code_to_graph(code),
         support={c: len(v) for c, v in sorted(gid_sets.items())},
-        node_count=_vertex_count(code),
         quality=quality,
         supporting_ids={c: frozenset(v) for c, v in gid_sets.items()},
     )

@@ -600,7 +600,7 @@ def load_checkpoint(path: str | Path) -> Model:
     (hlen,) = struct.unpack("<I", raw[8:12])
     try:
         header = json.loads(raw[12 : 12 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelIOError(f"corrupt checkpoint header: {e}") from None
     if not isinstance(header, dict):
         raise ModelIOError("checkpoint header is not a JSON object")

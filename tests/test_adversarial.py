@@ -2,6 +2,7 @@
 report accounting, and the summary writers."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -69,9 +70,7 @@ def sample(sid, cfg, cls=SampleClass.FAMILY_A):
 def pattern_of(g):
     return Pattern(
         code=canonical_dfs_code(g),
-        graph=g,
         support={"Benign": 1},
-        node_count=g.node_count,
     )
 
 
@@ -426,3 +425,34 @@ def test_predict_class_uses_feature_vector():
 
 def test_strategies_constant():
     assert STRATEGIES == ("minimum", "median", "maximum")
+
+
+# sha256 of the attack reports, the screen over the injected graphs and the
+# pipeline verdicts of the golden TINY runs (see conftest), recorded before
+# pattern graphs were derived from their DFS codes.
+GOLDEN_ATTACK_DIGESTS = {
+    "7/attacks/gea_maximum.json": "4db14bfec24a8e0c20bdcc9cc0f0a5e98776fab93daa5118b135db704da46029",
+    "7/attacks/gea_median.json": "0b6ae3594cc2a0960f13fa422c1eff3b51b994f89f5a74bf06914e682500d51a",
+    "7/attacks/gea_minimum.json": "d5c84d5407ac099f243c3e48fda9e0ccee3665f79ad202fdf538d6bc151abdfb",
+    "7/attacks/sbd_screen.json": "56622391b5de600d706439031671f1c71ee6d282d1cc10b4f9b7b8180f5b9e4d",
+    "7/attacks/sgea.json": "e8628849e60e6c8e35cc95a9f4dd60a04088a39b0b9b156d42792f07e025c1be",
+    "7/attacks/summary.csv": "f2af2f4651c55748deacb32ab0b7e412f4a2ef2084547c260eb2a4b010f388d8",
+    "7/pipeline/summary.json": "7e9e7c60ef6b7e3edd092b3ce84233ef760158f141e64ac0b254696b4afd361c",
+    "7/pipeline/verdicts.jsonl": "2fa125ee9f647c0ab6275a57e71a1e02a9406601e9efb1a7d2e8cb5acc31bfa8",
+    "5/attacks/gea_maximum.json": "28dd92202afdad0b9010d8d47c9b57e7b2c14d326037cb0a2eb15f0305d393b2",
+    "5/attacks/gea_median.json": "8f343c31ce6fb7113219238192cc4eee038d2a1ada4ceb092daa99c4a22761b2",
+    "5/attacks/gea_minimum.json": "730d9e1c2359f2d082f3a1a549f9f5b648305f99880486cde381bfe185418669",
+    "5/attacks/sbd_screen.json": "56622391b5de600d706439031671f1c71ee6d282d1cc10b4f9b7b8180f5b9e4d",
+    "5/attacks/sgea.json": "117113c2cd1db675accd65eac332e5ff399fcdf785e487614c37d14a59ed5e35",
+    "5/attacks/summary.csv": "f2af2f4651c55748deacb32ab0b7e412f4a2ef2084547c260eb2a4b010f388d8",
+    "5/pipeline/summary.json": "6675e041628300fc4e70f0993729cf94d67343234b803be54c442c7ef42b5f10",
+    "5/pipeline/verdicts.jsonl": "ddeefef7680ce94bedb3b7e92bbc1992e68c610cd8907bf550ef3f269efc101a",
+}
+
+
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.") and sys.version_info >= (3, 11)),
+                    reason="model predictions are pinned under numpy 2.4 and Python >= 3.11")
+def test_golden_attack_and_pipeline_digests(golden_tree_digests):
+    got = {k: v for k, v in golden_tree_digests.items()
+           if k.split("/")[1] in ("attacks", "pipeline")}
+    assert got == GOLDEN_ATTACK_DIGESTS

@@ -2,6 +2,8 @@
 plus the documented exit codes."""
 
 import configparser
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cfgsentinel import experiment, fhmc, mining, nn
 from cfgsentinel.cli import (
@@ -20,10 +23,15 @@ from cfgsentinel.cli import (
     main,
 )
 from cfgsentinel.features import FEATURE_COUNT
-from cfgsentinel.graph import SampleClass, read_corpus
+from cfgsentinel.graph import GraphError, SampleClass, read_corpus
 
 from conftest import TINY_INI, subprocess_env
-from test_graph import GOOD_GRAPH_DOC, MALFORMED_GRAPH_DOCS
+from fuzz import FUZZ, documents
+from test_fhmc import GOOD_RANKED_DOC, MALFORMED_RANKED_FILES
+from test_graph import (
+    GOOD_GRAPH_DOC, MALFORMED_GRAPH_DOCS, corpus_dir, malformed_manifests,
+)
+from test_mining import GOOD_PATTERN_DOC, MALFORMED_PATTERN_FILES
 from test_nn import MALFORMED_HEADERS, rewrite_header
 
 
@@ -429,3 +437,85 @@ def test_task_without_samples_exit_5(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: ") == 2 and "classifier" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def _run(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _reader_cases(ws):
+    """Per subcommand: the library reader of the file under test, the valid
+    document it is fuzzed from, and the CLI arguments reading `path`."""
+    corpus = ["--corpus", str(ws["manifest"])]
+    splits = ["--splits", str(ws["splits"])]
+    return {
+        "features": (read_corpus, json.loads(ws["manifest"].read_text()),
+                     lambda path: ["features", "--corpus", str(path)]),
+        "rank": (mining.read_patterns, GOOD_PATTERN_DOC,
+                 lambda path: ["rank", *corpus, *splits, "--patterns", str(path),
+                               *map(str, ws["patterns"][1:])]),
+        "attack": (mining.read_patterns, GOOD_PATTERN_DOC,
+                   lambda path: ["attack", "--model", str(ws["detector"]), *corpus, *splits,
+                                 "--mode", "sgea", "--patterns", str(path)]),
+        "encode": (fhmc.read_ranked, GOOD_RANKED_DOC,
+                   lambda path: ["encode", *corpus, "--ranked", str(path)]),
+    }
+
+
+def _assert_rejected(code, err, expected, case):
+    assert code == expected, case
+    assert err.startswith("error: ") and "Traceback" not in err, case
+
+
+def test_malformed_manifest_exit_5(tmp_path):
+    corpus = corpus_dir(tmp_path)
+    manifest = corpus / "manifest.json"
+    for defect, text in sorted(malformed_manifests(corpus).items()):
+        manifest.write_text(text)
+        out = tmp_path / f"{defect}.csv"
+        _assert_rejected(*_run(["features", "--corpus", str(manifest), "--out", str(out)]),
+                         EXIT_RUNTIME, defect)
+        assert not out.exists()
+
+
+def test_malformed_pattern_and_ranked_files_exit_4(ws, tmp_path):
+    cases = _reader_cases(ws)
+    files = {"rank": MALFORMED_PATTERN_FILES, "attack": MALFORMED_PATTERN_FILES,
+             "encode": MALFORMED_RANKED_FILES}
+    for command, defects in files.items():
+        args = cases[command][2]
+        for defect, text in sorted(defects.items()):
+            path = tmp_path / f"{command}_{defect}.json"
+            path.write_text(text)
+            out = tmp_path / f"{command}_{defect}.out"
+            _assert_rejected(*_run([*args(path), "--out", str(out)]),
+                             EXIT_BAD_CONFIG, (command, defect))
+            assert not out.exists()
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["features", "rank", "attack", "encode"]))
+def test_cli_reads_any_json_without_traceback(ws, data, command):
+    # the CLI succeeds exactly when the library reader accepts the file, and
+    # otherwise exits 4 or 5 with an error line; an uncaught exception fails
+    reader, valid, args = _reader_cases(ws)[command]
+    doc = data.draw(documents(valid))
+    root = ws["root"] / "fuzz"
+    root.mkdir(exist_ok=True)
+    # a manifest is read next to the corpus's graphs, so its paths stay valid
+    path = ws["manifest"].with_name("fuzz.json") if command == "features" else root / "in.json"
+    path.write_text(json.dumps(doc))
+    try:
+        reader(path)
+        accepted = True
+    except (GraphError, mining.MiningError, fhmc.RankingError):
+        accepted = False
+    code, err = _run([*args(path), "--out", str(root / "out")])
+    if accepted:
+        assert code == EXIT_OK, err
+    else:
+        assert code in (EXIT_BAD_CONFIG, EXIT_RUNTIME) and err.startswith("error: ")

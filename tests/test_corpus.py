@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -52,9 +53,8 @@ class TestGenerate:
             assert np.all(np.isfinite(v))
 
     def test_entry_reaches_every_node(self, default_samples):
-        from cfgsentinel.graph import out_adjacency
         for s in default_samples[::5]:
-            adj = out_adjacency(s.cfg)
+            adj = s.cfg.view.succ
             seen = {s.cfg.entry}
             stack = [s.cfg.entry]
             while stack:
@@ -180,3 +180,27 @@ class TestConfig:
     def test_mapping_rejects_bad_value(self):
         with pytest.raises(CorpusError):
             config_from_mapping({"seed": "xyz"})
+
+
+# Digests of the golden TINY runs (see conftest), recorded before pattern
+# graphs were derived from their DFS codes: one sha256 per seed over the
+# sorted "<path> <sha256>" lines of its corpus/ files, and splits.json.
+GOLDEN_CORPUS_DIGESTS = {
+    "7/corpus": "ccf0ed9387dc3876c0c60da4161fb167955099f674cf7597207b1b15f1aa2d77",
+    "7/splits.json": "80610fd6e3acf02b5eb3406cc7bf7518a76fb3818479667280176116186ce93f",
+    "5/corpus": "c2cd45c70e8ae0dde5fd74018924b79108e5588f9943271940d4846777a1e943",
+    "5/splits.json": "c8a338607718095e09f27ecfb111545b2070d24d40fabad3e66233e5be9c44cb",
+}
+
+
+def test_golden_corpus_and_split_digests(golden_tree_digests):
+    # graphs and splits hold only integers and strings drawn from seeded
+    # generators, so they are pinned without a numpy-version condition
+    got = {}
+    for seed in ("7", "5"):
+        lines = "".join(f"{k} {v}\n" for k, v in sorted(golden_tree_digests.items())
+                        if k.startswith(f"{seed}/corpus/"))
+        assert lines.count("\n") == 29  # manifest plus 28 graphs
+        got[f"{seed}/corpus"] = hashlib.sha256(lines.encode()).hexdigest()
+        got[f"{seed}/splits.json"] = golden_tree_digests[f"{seed}/splits.json"]
+    assert got == GOLDEN_CORPUS_DIGESTS

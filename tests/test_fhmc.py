@@ -4,9 +4,12 @@ two-stage classification pipeline."""
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cfgsentinel.fhmc import (
     DETECTOR_CLASSES,
@@ -28,11 +31,12 @@ from cfgsentinel.fhmc import (
     write_ranked,
     write_verdicts,
 )
-from cfgsentinel.graph import LabeledSample, SampleClass
+from cfgsentinel.graph import GraphError, LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
-from cfgsentinel.mining import Pattern, canonical_dfs_code
+from cfgsentinel.mining import MiningError, Pattern, canonical_dfs_code
 
 from conftest import path_graph, random_cfg, subprocess_env
+from fuzz import FUZZ, documents
 
 
 def sample(sid, cfg, cls=SampleClass.FAMILY_A):
@@ -46,9 +50,7 @@ def chain(labels):
 def pattern_of(g, support, supporting=None):
     return Pattern(
         code=canonical_dfs_code(g),
-        graph=g,
         support=dict(support),
-        node_count=g.node_count,
         supporting_ids=supporting,
     )
 
@@ -89,8 +91,8 @@ pats = []
 for k in range(8):
     g = Cfg(nodes=((0, k), (1, k)), edges=frozenset({(0, 1)}), entry=0, exits=frozenset({1}))
     supp = frozenset(s for j, s in enumerate(ids) if k == 0 or j % (k + 1) == 0)
-    pats.append(Pattern(code=canonical_dfs_code(g), graph=g, support={"F": 1},
-                        node_count=2, supporting_ids={"F": supp}))
+    pats.append(Pattern(code=canonical_dfs_code(g), support={"F": 1},
+                        supporting_ids={"F": supp}))
 print(repr(coverage_scores(pats, "F", ids)))
 """
 
@@ -394,6 +396,87 @@ def test_ranked_roundtrip(tmp_path):
         ]
     # The materialized pattern graphs still match their codes.
     for rp in loaded.flat:
+        assert canonical_dfs_code(rp.pattern.graph) == rp.pattern.code
+
+
+def _ranked_text(ranked) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ranked.json"
+        write_ranked(ranked, path)
+        return path.read_text()
+
+
+GOOD_RANKED_DOC = json.loads(_ranked_text(RankedPatternSet(per_family={
+    "FamilyA": [_rp(pattern_of(chain([1, 2, 1]), {"FamilyA": 3}), "FamilyA", score=0.75)],
+    "FamilyC": [_rp(pattern_of(chain([2, 2]), {"FamilyC": 2, "Benign": 1}), "FamilyC")],
+})))
+
+
+def _first(**fields):
+    """GOOD_RANKED_DOC's text with fields of its FamilyA entry replaced
+    (None: removed)."""
+    doc = json.loads(json.dumps(GOOD_RANKED_DOC))
+    entry = doc["families"]["FamilyA"][0]
+    for k, v in fields.items():
+        if v is None:
+            del entry[k]
+        else:
+            entry[k] = v
+    return json.dumps(doc)
+
+
+# Text of ranked files that read_ranked must reject (MiningError for the
+# pattern fields, RankingError for the rest; both exit 4 on the CLI).
+MALFORMED_RANKED_FILES = {
+    "not_json": "[1,",
+    "a_list": json.dumps([]),
+    "no_families": json.dumps({}),
+    "families_list": json.dumps({"families": []}),
+    "unknown_family": json.dumps({"families": {"Benign": []}}),
+    "family_not_list": json.dumps({"families": {"FamilyA": {}}}),
+    "entry_not_object": json.dumps({"families": {"FamilyA": ["x"]}}),
+    "no_dfs_code": _first(dfs_code=None),
+    "code_letters": _first(dfs_code="zz"),
+    "code_index_gap": _first(dfs_code="0,5,0,0,0"),
+    "code_not_canonical": _first(dfs_code="0,1,2,1,1;0,2,2,0,1"),
+    "node_count_wrong": _first(node_count=2),
+    "node_count_missing": _first(node_count=None),
+    "support_str": _first(support={"FamilyA": "3"}),
+    "frequency_float": _first(family_frequency=3.0),
+    "frequency_negative": _first(family_frequency=-1),
+    "occurrences_missing": _first(benign_occurrences=None),
+    "coverage_str": _first(coverage="0.5"),
+    "coverage_nan": _first(coverage=float("nan")),
+    "rank_score_bool": _first(rank_score=True),
+    "rank_score_missing": _first(rank_score=None),
+}
+
+
+def test_ranked_good_file_loads(tmp_path):
+    path = tmp_path / "ranked.json"
+    path.write_text(json.dumps(GOOD_RANKED_DOC))
+    assert _ranked_text(read_ranked(path)) == json.dumps(GOOD_RANKED_DOC, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_RANKED_FILES))
+def test_ranked_defect_rejected(tmp_path, defect):
+    path = tmp_path / "ranked.json"
+    path.write_text(MALFORMED_RANKED_FILES[defect])
+    with pytest.raises((MiningError, RankingError)):
+        read_ranked(path)
+
+
+@FUZZ
+@given(doc=documents(GOOD_RANKED_DOC))
+def test_read_ranked_loads_or_raises_typed_error(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ranked.json"
+        path.write_text(json.dumps(doc))
+        try:
+            ranked = read_ranked(path)
+        except (MiningError, RankingError, GraphError):
+            return
+    for rp in ranked.flat:
         assert canonical_dfs_code(rp.pattern.graph) == rp.pattern.code
 
 

@@ -1,16 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cfgsentinel.graph import (
     Cfg,
     GraphError,
     LabeledSample,
     SampleClass,
-    in_adjacency,
     load_graph,
-    out_adjacency,
     parse_dot,
     parse_graph,
     read_corpus,
@@ -19,6 +19,7 @@ from cfgsentinel.graph import (
     write_corpus,
 )
 from conftest import random_cfg
+from fuzz import FUZZ, documents, json_values
 
 
 def make(nodes, edges, entry=0, exits=None):
@@ -93,9 +94,9 @@ class TestEquality:
 class TestAdjacency:
     def test_out_and_in(self):
         g = make([(0, 0), (1, 0), (2, 0)], [(0, 1), (0, 2), (2, 1)])
-        assert out_adjacency(g)[0] == (1, 2)
-        assert in_adjacency(g)[1] == (0, 2)
-        assert out_adjacency(g)[1] == ()
+        assert g.view.succ[0] == (1, 2)
+        assert g.view.pred[1] == (0, 2)
+        assert g.view.succ[1] == ()
 
     def test_matches_edge_list_construction(self, rng):
         for _ in range(100):
@@ -105,14 +106,9 @@ class TestAdjacency:
             for u, v in g.edges:
                 succ[u].append(v)
                 pred[v].append(u)
-            for got, want in ((out_adjacency(g), succ), (in_adjacency(g), pred)):
+            for got, want in ((g.view.succ, succ), (g.view.pred, pred)):
                 assert list(got) == list(g.node_ids)
                 assert got == {i: tuple(sorted(vs)) for i, vs in want.items()}
-
-    def test_adjacency_copies_leave_view_intact(self):
-        g = make([(0, 0), (1, 0)], [(0, 1)])
-        out_adjacency(g)[0] = ()
-        assert out_adjacency(g)[0] == (1,)
 
 
 class TestView:
@@ -214,6 +210,10 @@ class TestSerialization:
         with pytest.raises(GraphError):
             parse_graph(json.dumps(doc))
 
+    def test_rejects_nesting_deeper_than_the_decoder_recurses(self):
+        with pytest.raises(GraphError):
+            parse_graph("[" * 100_000 + "]" * 100_000)
+
     def test_rejects_malformed_json(self):
         with pytest.raises(GraphError):
             parse_graph("{not json")
@@ -259,6 +259,54 @@ class TestDot:
             parse_dot("digraph { subgraph cluster0 { 0; } }")
 
 
+def corpus_dir(root: Path) -> Path:
+    """A corpus directory under `root` holding graphs/g.json (valid) and
+    graphs/bin.json (not UTF-8), plus a valid graph outside it at
+    root/outside/g.json; returns the corpus directory."""
+    corpus = root / "corpus"
+    (corpus / "graphs").mkdir(parents=True)
+    (corpus / "graphs" / "g.json").write_text(json.dumps(GOOD_GRAPH_DOC))
+    (corpus / "graphs" / "bin.json").write_bytes(b'{"nodes": "\xff"}')
+    (root / "outside").mkdir()
+    (root / "outside" / "g.json").write_text(json.dumps(GOOD_GRAPH_DOC))
+    return corpus
+
+
+def _one_sample(**fields):
+    """A manifest of the sample graphs/g.json with fields replaced (None:
+    removed)."""
+    entry = {"id": "g", "class": "Benign", "path": "graphs/g.json"}
+    entry.update(fields)
+    return {"samples": [{k: v for k, v in entry.items() if v is not None}]}
+
+
+def malformed_manifests(corpus: Path) -> dict[str, str]:
+    """Text of manifests in `corpus` (see corpus_dir) that read_corpus must
+    reject with GraphError."""
+    docs = {
+        "a_list": [],
+        "no_samples": {},
+        "samples_int": {"samples": 5},
+        "samples_object": {"samples": {}},
+        "entry_not_object": {"samples": ["graphs/g.json"]},
+        "id_list": _one_sample(id=["g"]),
+        "id_int": _one_sample(id=1),
+        "id_missing": _one_sample(id=None),
+        "class_int": _one_sample(**{"class": 0}),
+        "class_unknown": _one_sample(**{"class": "Spam"}),
+        "path_list": _one_sample(path=["graphs", "g.json"]),
+        "path_parent": _one_sample(path="../outside/g.json"),
+        "path_absolute_outside": _one_sample(path=str(corpus.parent / "outside" / "g.json")),
+        "path_missing_file": _one_sample(path="graphs/nope.json"),
+        "path_directory": _one_sample(path="graphs"),
+        "path_empty": _one_sample(path=""),
+        "path_nul": _one_sample(path="graphs/g\x00.json"),
+        "path_not_utf8": _one_sample(path="graphs/bin.json"),
+        "duplicate_id": {"samples": _one_sample()["samples"] * 2},
+    }
+    return dict({k: json.dumps(v) for k, v in docs.items()}, not_json="{")
+
+
 class TestCorpusIO:
     def test_write_read_round_trip(self, tmp_path, rng):
         samples = [
@@ -285,6 +333,40 @@ class TestCorpusIO:
         manifest = write_corpus(samples, tmp_path / "corpus")
         doc = json.loads(manifest.read_text())
         assert not doc["samples"][0]["path"].startswith("/")
+
+    def test_corpus_with_absolute_path_inside_loads(self, tmp_path):
+        corpus = corpus_dir(tmp_path)
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps(_one_sample(path=str(corpus / "graphs" / "g.json"))))
+        assert [s.id for s in read_corpus(manifest)] == ["g"]
+
+    @pytest.mark.parametrize("defect", sorted(malformed_manifests(Path("corpus"))))
+    def test_malformed_manifest_rejected(self, tmp_path, defect):
+        corpus = corpus_dir(tmp_path)
+        manifest = corpus / "manifest.json"
+        manifest.write_text(malformed_manifests(corpus)[defect])
+        with pytest.raises(GraphError):
+            read_corpus(manifest)
+
+
+_manifest_values = st.sampled_from(
+    ["g", "Benign", "FamilyC", "graphs/g.json", "graphs", "../outside/g.json", "/", ""]
+) | json_values
+
+
+@FUZZ
+@given(doc=documents(_one_sample(), _manifest_values))
+def test_read_corpus_loads_or_raises_graph_error(tmp_path_factory, doc):
+    corpus = tmp_path_factory.getbasetemp() / "fuzz_corpus" / "corpus"
+    if not corpus.exists():
+        corpus_dir(corpus.parent)
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    try:
+        samples = read_corpus(manifest)
+    except GraphError:
+        return
+    assert all(s.cfg == parse_graph(json.dumps(GOOD_GRAPH_DOC)) for s in samples)
 
 
 class TestSampleClass:

@@ -1,9 +1,14 @@
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from cfgsentinel.graph import Cfg, LabeledSample, SampleClass
+from cfgsentinel.fhmc import RankingError
+from cfgsentinel.graph import Cfg, GraphError, LabeledSample, SampleClass, graph_doc
 from cfgsentinel.mining import (
     MiningError,
     Pattern,
@@ -21,6 +26,7 @@ from cfgsentinel.mining import (
     write_patterns,
 )
 from conftest import cycle_graph, path_graph, random_cfg, tiny_cfg
+from fuzz import FUZZ, documents
 import oracles
 
 
@@ -248,6 +254,128 @@ class TestPatternIO:
             back = read_patterns(path_)
             assert [p.code for p in back] == [p.code for p in pats]
             assert [dict(p.support) for p in back] == [dict(p.support) for p in pats]
+
+
+    def test_pattern_derives_count_and_graph_from_code(self):
+        p = Pattern(code=canonical_dfs_code(path_graph((2, 1, 0))), support={"all": 1})
+        assert p.node_count == 3
+        assert p.graph is p.graph  # built once, on first use
+        assert canonical_dfs_code(p.graph) == p.code
+        assert "graph" not in Pattern.__dataclass_fields__
+        assert "node_count" not in Pattern.__dataclass_fields__
+
+    def test_mining_builds_no_graph(self):
+        pats = gspan_mine([path_graph((0, 1, 0)), cycle_graph(3)], 1, 1, 3)
+        assert pats and not any("graph" in vars(p) for p in pats)
+
+
+def _written(patterns) -> dict:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "p.json"
+        write_patterns(patterns, path)
+        return json.loads(path.read_text())
+
+
+# Entries: the single vertex, the arc 0,1,0,0,0, the 3-path and the 3-cycle.
+GOOD_PATTERN_DOC = _written(gspan_mine([path_graph((0, 0, 0)), cycle_graph(3)], 1, 1, 3))
+
+
+def _arc(**fields):
+    """GOOD_PATTERN_DOC's text with fields of its arc entry replaced (None:
+    removed)."""
+    doc = json.loads(json.dumps(GOOD_PATTERN_DOC))
+    entry = doc["patterns"][1]
+    for k, v in fields.items():
+        if v is None:
+            del entry[k]
+        else:
+            entry[k] = v
+    return json.dumps(doc)
+
+
+_ONE_NODE_GRAPH = {"nodes": [{"id": 0, "label": 5}], "edges": [], "entry": 0, "exits": [0]}
+
+# Text of pattern files that read_patterns must reject with MiningError.
+MALFORMED_PATTERN_FILES = {
+    "not_json": "{not json",
+    "no_patterns_key": json.dumps({"x": 1}),
+    "a_list": json.dumps([]),
+    "patterns_object": json.dumps({"patterns": {}}),
+    "entry_not_object": json.dumps({"patterns": [5]}),
+    "no_dfs_code": _arc(dfs_code=None),
+    "code_not_str": _arc(dfs_code=5),
+    "code_letters": _arc(dfs_code="zz"),
+    "code_empty": _arc(dfs_code=""),
+    "code_four_fields": _arc(dfs_code="0,1,0,0"),
+    "code_index_gap": _arc(dfs_code="0,5,0,0,0"),
+    "code_not_canonical": _arc(dfs_code="0,1,0,1,0"),
+    "code_disconnected": _arc(dfs_code="0,1,0,0,0;2,3,0,0,0", node_count=4),
+    "code_negative_label": _arc(dfs_code="0,0,-1,-1,-1", node_count=1),
+    "node_count_wrong": _arc(node_count=3),
+    "node_count_str": _arc(node_count="2"),
+    "node_count_missing": _arc(node_count=None),
+    "support_list": _arc(support=[2]),
+    "support_float": _arc(support={"all": 1.5}),
+    "support_negative": _arc(support={"all": -1}),
+    "support_bool": _arc(support={"all": True}),
+    "quality_str": _arc(quality="0"),
+    "quality_bool": _arc(quality=False),
+    # a two-node code stored with a one-node graph and node count
+    "graph_and_count_of_other_pattern": _arc(graph=_ONE_NODE_GRAPH, node_count=1),
+    "graph_of_other_pattern": _arc(graph=_ONE_NODE_GRAPH),
+    "graph_float_entry": _arc(graph=dict(GOOD_PATTERN_DOC["patterns"][1]["graph"], entry=0.0)),
+    "graph_missing": _arc(graph=None),
+}
+
+
+class TestPatternFileChecks:
+    def test_good_file_loads(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(GOOD_PATTERN_DOC))
+        pats = read_patterns(path)
+        assert [code_to_string(p.code) for p in pats] == [
+            e["dfs_code"] for e in GOOD_PATTERN_DOC["patterns"]]
+        assert [graph_doc(p.graph) for p in pats] == [
+            e["graph"] for e in GOOD_PATTERN_DOC["patterns"]]
+
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_PATTERN_FILES))
+    def test_defect_rejected(self, tmp_path, defect):
+        path = tmp_path / "p.json"
+        path.write_text(MALFORMED_PATTERN_FILES[defect])
+        with pytest.raises(MiningError):
+            read_patterns(path)
+
+    def test_code_graph_mismatch_rejected(self, tmp_path):
+        # the stored graph and node count describe a one-node pattern, the
+        # code a two-node arc: SGEA would inject one while ordering by the other
+        path = tmp_path / "p.json"
+        path.write_text(MALFORMED_PATTERN_FILES["graph_and_count_of_other_pattern"])
+        with pytest.raises(MiningError, match="pattern 1"):
+            read_patterns(path)
+
+    def test_string_to_code_rejects_non_integers(self):
+        for text in ("zz", "", "0,1,0,0,x", "0,1,0,0,0;"):
+            with pytest.raises(MiningError):
+                string_to_code(text)
+
+    def test_code_to_graph_rejects_index_gaps(self):
+        for text in ("0,5,0,0,0", "0,1,0,0,0;1,3,0,0,0", "1,1,0,-1,0"):
+            with pytest.raises(MiningError):
+                code_to_graph(string_to_code(text))
+
+
+@FUZZ
+@given(doc=documents(GOOD_PATTERN_DOC))
+def test_read_patterns_loads_or_raises_typed_error(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "p.json"
+        path.write_text(json.dumps(doc))
+        try:
+            pats = read_patterns(path)
+        except (MiningError, RankingError, GraphError):
+            return
+    for p in pats:
+        assert canonical_dfs_code(p.graph) == p.code
 
 
 # ---------------------------------------------------------------------------

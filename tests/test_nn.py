@@ -402,6 +402,13 @@ class TestCheckpoint:
 
         assert _peak_traced_bytes(load) < 2**20
 
+    def test_header_nested_deeper_than_the_decoder_recurses(self, tmp_path):
+        blob = ("[" * 100_000 + "]" * 100_000).encode()
+        p = tmp_path / "deep.ckpt"
+        p.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(nn.ModelIOError):
+            nn.load_checkpoint(p)
+
     def test_rewritten_header_still_loads(self, tmp_path, rng):
         X = rng.uniform(size=(10, 23))
         y = np.array([0, 1] * 5)
