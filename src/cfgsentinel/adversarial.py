@@ -169,12 +169,13 @@ def _attack_victims(
     model: Model,
     victims: Sequence[LabeledSample],
     report: AttackReport,
-    craft: Callable[[Cfg], tuple[str, int, int, Optional[Cfg]]],
+    craft: Callable[[Cfg, str], tuple[str, int, int, Optional[Cfg]]],
     include_timing: bool,
 ) -> tuple[AttackReport, dict[str, Cfg]]:
     """The loop both attacks share: victims already predicted as the target
-    are pre-satisfied; `craft` attacks each other victim and returns its
-    prediction, injected node count, attempts and merged graph (or None)."""
+    are pre-satisfied; `craft` attacks each other victim, given its original
+    prediction, and returns its adversarial prediction, injected node count,
+    attempts and merged graph (or None)."""
     target_class = report.target_class
     if target_class not in model.class_names:
         raise AttackError(f"model has no class {target_class!r}")
@@ -187,7 +188,7 @@ def _attack_victims(
                 AttackRecord(victim.id, orig, orig, 0, 0, None, pre_satisfied=True)
             )
             continue
-        adv, injected, attempts, graph = craft(victim.cfg)
+        adv, injected, attempts, graph = craft(victim.cfg, orig)
         dt = time.perf_counter() - t0
         if graph is not None:
             merged[victim.id] = graph
@@ -210,7 +211,7 @@ def gea_attack(
     the report and the merged graph per non-pre-satisfied victim."""
     sel = select_by_size(pool, strategy).cfg
 
-    def craft(victim: Cfg):
+    def craft(victim: Cfg, orig: str):
         adv_cfg = gea_merge(victim, sel)
         return predict_class(model, adv_cfg), sel.node_count, 1, adv_cfg
 
@@ -228,23 +229,33 @@ class SgeaResult:
     adversarial_prediction: str
 
 
+def _ascending(candidates: Sequence[Pattern]) -> list[Pattern]:
+    return sorted(candidates, key=lambda p: (p.node_count, p.code))
+
+
 def sgea_attack(
     model: Model,
     victim: Cfg,
     candidates: Sequence[Pattern],
     target_class: str,
     mode: str = "targeted",
+    *,
+    original: Optional[str] = None,
+    ordered: bool = False,
 ) -> SgeaResult:
     """Try candidate patterns in ascending node-count order; the first merge
     the model (targeted) classifies as the target class wins.  On failure
     the original graph is returned unchanged.  At most len(candidates)
-    model queries are issued."""
+    model queries are issued, plus one for the victim itself unless the
+    caller passes its prediction as `original`.  With `ordered`, the
+    candidates are already in ascending (node count, code) order."""
     if mode not in ("targeted", "nontargeted"):
         raise AttackError(f"unknown mode: {mode!r}")
-    orig = predict_class(model, victim)
-    ordered = sorted(candidates, key=lambda p: (p.node_count, p.code))
+    orig = predict_class(model, victim) if original is None else original
+    if not ordered:
+        candidates = _ascending(candidates)
     attempts = 0
-    for pat in ordered:
+    for pat in candidates:
         adv_cfg = gea_merge(victim, pat.graph)
         adv = predict_class(model, adv_cfg)
         attempts += 1
@@ -263,10 +274,13 @@ def sgea_attack_all(
     include_timing: bool = True,
 ) -> tuple[AttackReport, dict[str, Cfg]]:
     """`sgea_attack` on every victim; returns the report and the merged
-    graph per successful victim."""
+    graph per successful victim.  Each victim's original prediction is made
+    once, and the candidates are sorted once."""
+    ascending = _ascending(candidates)
 
-    def craft(victim: Cfg):
-        res = sgea_attack(model, victim, candidates, target_class, mode)
+    def craft(victim: Cfg, orig: str):
+        res = sgea_attack(model, victim, ascending, target_class, mode,
+                          original=orig, ordered=True)
         return (res.adversarial_prediction, res.injected_nodes, res.attempts,
                 res.graph if res.success else None)
 

@@ -7,7 +7,9 @@ shortest-path lengths, followed by density, edge count, and node count.
 
 from __future__ import annotations
 
+import math
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,16 +27,76 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 FEATURE_COUNT = len(FEATURE_NAMES)  # 23
 
 
+# Bits of the integer square root taken before the one rounding to float:
+# the float's 53 bits plus enough to make round-to-odd exact.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    """sqrt(n / m) for integers n >= 0 and m > 0, correctly rounded: the
+    integer square root of n / m scaled to _SQRT_BITS bits, rounded to odd,
+    then rounded once to a float (the method of CPython 3.11's
+    `statistics._float_sqrt_of_frac`)."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    a = math.isqrt(n // m)
+    a |= a * a * m != n
+    return float(a << q) if q >= 0 else a / (1 << -q)
+
+
+def _pstdev_of_sums(n: int, s: int, ss: int, shift: int = 0) -> float:
+    """Population std of n values x_i / 2**shift with integer numerators of
+    sum s and sum of squares ss: sqrt((n*ss - s*s) / (n*n * 4**shift))."""
+    return _sqrt_of_fraction(n * ss - s * s, n * n << 2 * shift)
+
+
 def summary_stats(values: Sequence[float]) -> tuple[float, float, float, float, float]:
-    """(min, max, median, mean, population std) of a non-empty sequence.
+    """(min, max, median, mean, population std) of a non-empty sequence of
+    finite numbers.
 
     The median of an even-length sequence is the mean of the two middle
-    elements.
+    elements.  The std is exact before its one rounding, so it equals
+    `statistics.pstdev` of Python 3.11 on every Python: every float is an
+    integer over a power of two, and brought to the largest of those
+    powers the variance is a fraction of integers.
     """
     if len(values) == 0:
         raise ValueError("summary_stats requires a non-empty sequence")
     vs = [float(v) for v in values]
-    return (min(vs), max(vs), statistics.median(vs), statistics.fmean(vs), statistics.pstdev(vs))
+    ratios = [v.as_integer_ratio() for v in vs]
+    shift = max(d for _, d in ratios).bit_length() - 1
+    xs = [p << shift - d.bit_length() + 1 for p, d in ratios]
+    std = _pstdev_of_sums(len(xs), sum(xs), sum(x * x for x in xs), shift)
+    return (min(vs), max(vs), statistics.median(vs), statistics.fmean(vs), std)
+
+
+def count_stats(counts: Sequence[int]) -> tuple[float, float, float, float, float]:
+    """`summary_stats` of the non-negative integers in which value k occurs
+    counts[k] times, without expanding them; the same five floats."""
+    present = [k for k, c in enumerate(counts) if c]
+    if not present:
+        raise ValueError("count_stats requires a non-empty histogram")
+    n = s = ss = 0
+    for k in present:
+        c = counts[k]
+        n += c
+        s += c * k
+        ss += c * k * k
+
+    def nth(i: int) -> float:
+        """The i-th smallest value (0-based)."""
+        for k in present:
+            i -= counts[k]
+            if i < 0:
+                return float(k)
+
+    half = n // 2
+    median = nth(half) if n % 2 else (nth(half - 1) + nth(half)) / 2
+    return (float(present[0]), float(present[-1]), median, float(s) / n,
+            _pstdev_of_sums(n, s, ss))
 
 
 def density(g: Cfg) -> float:
@@ -59,26 +121,30 @@ def degree_centrality(g: Cfg) -> dict[int, float]:
 class _Paths:
     betweenness: dict[int, float]
     closeness: dict[int, float]
-    lengths: list[int]
+    length_counts: list[int]  # [k] = ordered pairs u != v at distance k
 
 
 def _shortest_paths(g: Cfg) -> _Paths:
     """One Brandes pass (BFS with path counting, then dependency
     accumulation) per source, in document order.  Each BFS also gives the
-    source's closeness and its finite path lengths, in visiting order."""
+    source's closeness and adds its finite path lengths to one histogram.
+
+    The dependency pass keeps no predecessor lists: a predecessor u of w lies
+    on a shortest path from the source when dist[u] == dist[w] - 1.  Each
+    delta[u] still takes its terms in reversed BFS order of w."""
     view = g.view
     nodes = view.ids
     n = len(nodes)
     index = {v: k for k, v in enumerate(nodes)}
-    adj = [[index[w] for w in view.succ[v]] for v in nodes]
+    succ = [[index[w] for w in view.succ[v]] for v in nodes]
+    pred = [[index[u] for u in view.pred[v]] for v in nodes]
     bc = [0.0] * n
     closeness: dict[int, float] = {}
-    lengths: list[int] = []
+    length_counts = [0] * n
     for s in range(n):
         # single-source shortest paths with path counting
         dist = [-1] * n
         sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1.0
         # `order` is both the visiting order and the BFS queue: iterating a
@@ -86,30 +152,35 @@ def _shortest_paths(g: Cfg) -> _Paths:
         order = [s]
         for u in order:
             d = dist[u] + 1
-            for w in adj[u]:
-                if dist[w] < 0:
+            su = sigma[u]
+            for w in succ[u]:
+                dw = dist[w]
+                if dw < 0:
                     dist[w] = d
+                    sigma[w] = su
                     order.append(w)
-                if dist[w] == d:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        reached = [dist[w] for w in order[1:]]
-        lengths.extend(reached)
-        r = len(reached)
-        closeness[nodes[s]] = 0.0 if r == 0 else (r / (n - 1)) * (r / sum(reached))
-        # dependency accumulation
+                elif dw == d:
+                    sigma[w] += su
+        r = len(order) - 1
+        # every unreached node holds -1
+        total = sum(dist) + n - 1 - r
+        closeness[nodes[s]] = 0.0 if r == 0 else (r / (n - 1)) * (r / total)
+        # dependency accumulation, the source excluded
         delta = [0.0] * n
-        for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
+        for w in order[:0:-1]:
+            up = dist[w] - 1
+            length_counts[up + 1] += 1
+            sw, cw = sigma[w], 1.0 + delta[w]
+            for u in pred[w]:
+                if dist[u] == up:
+                    delta[u] += (sigma[u] / sw) * cw
+            bc[w] += delta[w]
     if n < 3:
         betweenness = {v: 0.0 for v in nodes}
     else:
         norm = (n - 1) * (n - 2)
         betweenness = {v: bc[k] / norm for k, v in enumerate(nodes)}
-    return _Paths(betweenness, closeness, lengths)
+    return _Paths(betweenness, closeness, length_counts)
 
 
 def closeness_centrality(g: Cfg) -> dict[int, float]:
@@ -129,8 +200,10 @@ def betweenness_centrality(g: Cfg) -> dict[int, float]:
 
 
 def shortest_path_lengths(g: Cfg) -> list[int]:
-    """All finite directed shortest-path lengths d(u, v) with u != v."""
-    return _shortest_paths(g).lengths
+    """All finite directed shortest-path lengths d(u, v) with u != v, in
+    ascending order."""
+    counts = _shortest_paths(g).length_counts
+    return [k for k, c in enumerate(counts) for _ in range(c)]
 
 
 def extract_features(g: Cfg) -> np.ndarray:
@@ -144,7 +217,7 @@ def extract_features(g: Cfg) -> np.ndarray:
     vec: list[float] = []
     for values in per_node:
         vec.extend(summary_stats(values))
-    vec.extend(summary_stats(paths.lengths) if paths.lengths else (0.0,) * 5)
+    vec.extend(count_stats(paths.length_counts) if any(paths.length_counts) else (0.0,) * 5)
     vec.append(density(g))
     vec.append(float(g.edge_count))
     vec.append(float(g.node_count))

@@ -37,7 +37,11 @@ class ModelIOError(ValueError):
     """Raised for unreadable, corrupt, or shape-inconsistent checkpoints."""
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
+def _glorot(rng: Optional[np.random.Generator], shape: tuple[int, ...], fan_in: int, fan_out: int):
+    """Glorot-uniform weights drawn from rng; without an rng, an
+    uninitialised array that a checkpoint payload fills."""
+    if rng is None:
+        return np.empty(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -59,7 +63,9 @@ class Dense:
 
     def forward(self, x, train, rng):
         self._x = x
-        return x @ self.W.T + self.b
+        y = x @ self.W.T
+        y += self.b
+        return y
 
     def backward(self, dout):
         np.matmul(dout.T, self._x, out=self.dW)
@@ -86,17 +92,27 @@ class Conv1D:
         return [self.dW, self.db]
 
     def forward(self, x, train, rng):
-        if self.pad:
-            x = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        b, c_in, w_pad = x.shape
-        w_out = w_pad - self.k + 1
-        # im2col: (B, W_out, C_in * k) so the convolution is one matmul
-        cols = np.empty((b, w_out, c_in * self.k))
-        for o in range(self.k):
-            cols[:, :, o::self.k] = x[:, :, o : o + w_out].transpose(0, 2, 1)
+        b, c_in, w = x.shape
+        k, pad = self.k, self.pad
+        w_pad = w + 2 * pad
+        w_out = w_pad - k + 1
+        # im2col of the zero-padded input: (B, W_out, C_in * k), so the
+        # convolution is one matmul.  Offset o reads x[t + o - pad]; the
+        # rows where that falls into the padding are zeros.
+        cols = np.empty((b, w_out, c_in * k))
+        xt = x.transpose(0, 2, 1)
+        for o in range(k):
+            lo, hi = max(0, pad - o), min(w_out, w + pad - o)
+            block = cols[:, :, o::k]
+            block[:, lo:hi] = xt[:, lo + o - pad : hi + o - pad]
+            if lo > 0:
+                block[:, :lo] = 0.0
+            if hi < w_out:
+                block[:, hi:] = 0.0
         self._cols = cols
         self._w_pad = w_pad
-        y = cols @ self.W.reshape(self.W.shape[0], -1).T + self.b
+        y = cols @ self.W.reshape(self.W.shape[0], -1).T
+        y += self.b
         return y.transpose(0, 2, 1)
 
     def backward(self, dout):
@@ -117,43 +133,48 @@ class Conv1D:
 
 
 class MaxPool1D:
-    """Width-2, stride-2 max pooling; an odd trailing element is dropped."""
+    """Width-2, stride-2 max pooling; an odd trailing element is dropped.
+
+    The max of each pair is np.maximum of its even and odd element, and the
+    argmax is the mask odd > even: a tie, signed zeros included, goes to
+    the even element, as with argmax over a length-2 axis."""
 
     params: list = []
     grads: list = []
 
     def forward(self, x, train, rng):
-        b, c, w = x.shape
-        w_out = w // 2
+        w_out = x.shape[2] // 2
         self._in_shape = x.shape
-        xt = x[:, :, : 2 * w_out].reshape(b, c, w_out, 2)
-        self._arg = xt.argmax(axis=3)
-        return xt.max(axis=3)
+        even, odd = x[:, :, 0 : 2 * w_out : 2], x[:, :, 1 : 2 * w_out : 2]
+        self._arg = odd > even
+        return np.maximum(even, odd)
 
     def backward(self, dout):
-        b, c, w = self._in_shape
-        w_out = w // 2
-        dx = np.zeros((b, c, w_out, 2))
-        np.put_along_axis(dx, self._arg[..., None], dout[..., None], axis=3)
+        w_out = self._in_shape[2] // 2
         full = np.zeros(self._in_shape)
-        full[:, :, : 2 * w_out] = dx.reshape(b, c, 2 * w_out)
+        np.copyto(full[:, :, 0 : 2 * w_out : 2], dout, where=~self._arg)
+        np.copyto(full[:, :, 1 : 2 * w_out : 2], dout, where=self._arg)
         return full
 
 
 class ReLU:
+    """Multiplies by its mask in place: its input in forward, the incoming
+    gradient in backward, both arrays the previous layer made for it."""
+
     params: list = []
     grads: list = []
 
     def forward(self, x, train, rng):
         self._mask = x > 0
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, dout):
-        return dout * self._mask
+        return np.multiply(dout, self._mask, out=dout)
 
 
 class Dropout:
-    """Inverted dropout: active only in training mode."""
+    """Inverted dropout: active only in training mode, where it scales its
+    input and the incoming gradient in place."""
 
     params: list = []
     grads: list = []
@@ -166,10 +187,10 @@ class Dropout:
             self._mask = None
             return x
         self._mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, dout):
-        return dout if self._mask is None else dout * self._mask
+        return dout if self._mask is None else np.multiply(dout, self._mask, out=dout)
 
 
 class Flatten:
@@ -338,11 +359,17 @@ class Model:
 
 
 def build_model(arch: str, input_width: int, class_names: Sequence[str], seed: int) -> Model:
+    return _build_model(arch, input_width, class_names, np.random.default_rng(seed))
+
+
+def _build_model(arch: str, input_width: int, class_names: Sequence[str],
+                 rng: Optional[np.random.Generator]) -> Model:
+    """The model with Glorot weights drawn from rng, or with uninitialised
+    weights when rng is None."""
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture: {arch!r}")
     if len(class_names) < 2:
         raise ValueError("need at least two classes")
-    rng = np.random.default_rng(seed)
     plan = _layer_plan(arch, input_width, len(class_names))
     return Model(
         arch=arch,
@@ -625,7 +652,7 @@ def load_checkpoint(path: str | Path) -> Model:
     if not np.all(np.isfinite(values)):
         raise ModelIOError("non-finite values in checkpoint")
     try:
-        model = build_model(header["arch"], width, class_names, seed=0)
+        model = _build_model(header["arch"], width, class_names, rng=None)
     except ValueError as e:
         raise ModelIOError(f"checkpoint header describes no model: {e}") from None
     arrays = model.param_arrays()

@@ -300,3 +300,122 @@ class TextbookAdam:
             mhat = m / (1 - self.b1 ** self.t)
             vhat = v / (1 - self.b2 ** self.t)
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+# ---------------------------------------------------------------------------
+# Per-document path: the implementations the fast ones replaced
+# ---------------------------------------------------------------------------
+
+def brandes_with_preds(g: Cfg):
+    """(betweenness, closeness, path lengths in visiting order): one Brandes
+    pass per source that keeps a predecessor list per node.  Betweenness and
+    closeness must match features._shortest_paths bit for bit."""
+    view = g.view
+    nodes = view.ids
+    n = len(nodes)
+    index = {v: k for k, v in enumerate(nodes)}
+    adj = [[index[w] for w in view.succ[v]] for v in nodes]
+    bc = [0.0] * n
+    closeness = {}
+    lengths = []
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0.0] * n
+        preds = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order = [s]
+        for u in order:
+            d = dist[u] + 1
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    order.append(w)
+                if dist[w] == d:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        reached = [dist[w] for w in order[1:]]
+        lengths.extend(reached)
+        r = len(reached)
+        closeness[nodes[s]] = 0.0 if r == 0 else (r / (n - 1)) * (r / sum(reached))
+        delta = [0.0] * n
+        for w in reversed(order):
+            for u in preds[w]:
+                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    if n < 3:
+        betweenness = {v: 0.0 for v in nodes}
+    else:
+        norm = (n - 1) * (n - 2)
+        betweenness = {v: bc[k] / norm for k, v in enumerate(nodes)}
+    return betweenness, closeness, lengths
+
+
+class PadConvForward:
+    """Conv1D.forward through an np.pad copy, and the bias added in a new
+    array.  Shares the weights of `conv`; the outputs must be bit-identical."""
+
+    def __init__(self, conv):
+        self.conv = conv
+
+    def forward(self, x):
+        conv = self.conv
+        if conv.pad:
+            x = np.pad(x, ((0, 0), (0, 0), (conv.pad, conv.pad)))
+        b, c_in, w_pad = x.shape
+        w_out = w_pad - conv.k + 1
+        cols = np.empty((b, w_out, c_in * conv.k))
+        for o in range(conv.k):
+            cols[:, :, o::conv.k] = x[:, :, o : o + w_out].transpose(0, 2, 1)
+        self.cols = cols
+        y = cols @ conv.W.reshape(conv.W.shape[0], -1).T + conv.b
+        return y.transpose(0, 2, 1)
+
+
+class ArgmaxPool:
+    """Width-2, stride-2 max pooling through argmax and a max reduction over
+    a length-2 axis, with a two-buffer backward scatter."""
+
+    def forward(self, x):
+        b, c, w = x.shape
+        w_out = w // 2
+        self.in_shape = x.shape
+        xt = x[:, :, : 2 * w_out].reshape(b, c, w_out, 2)
+        self.arg = xt.argmax(axis=3)
+        return xt.max(axis=3)
+
+    def backward(self, dout):
+        b, c, w = self.in_shape
+        w_out = w // 2
+        dx = np.zeros((b, c, w_out, 2))
+        np.put_along_axis(dx, self.arg[..., None], dout[..., None], axis=3)
+        full = np.zeros(self.in_shape)
+        full[:, :, : 2 * w_out] = dx.reshape(b, c, 2 * w_out)
+        return full
+
+
+class CopyingReLU:
+    def forward(self, x):
+        self.mask = x > 0
+        return x * self.mask
+
+    def backward(self, dout):
+        return dout * self.mask
+
+
+class CopyingDropout:
+    """Inverted dropout into new arrays; draws its mask like nn.Dropout."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def forward(self, x, train, rng):
+        if not train:
+            self.mask = None
+            return x
+        self.mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        return x * self.mask
+
+    def backward(self, dout):
+        return dout if self.mask is None else dout * self.mask

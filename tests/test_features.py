@@ -1,15 +1,19 @@
 import hashlib
 import math
+import statistics
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfgsentinel.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
+    _shortest_paths,
     betweenness_centrality,
     closeness_centrality,
+    count_stats,
     degree_centrality,
     density,
     extract_features,
@@ -20,6 +24,21 @@ from cfgsentinel.features import (
 from cfgsentinel.graph import Cfg
 from conftest import cycle_graph, path_graph, random_cfg, star_graph
 import oracles
+
+
+def bits(floats):
+    """Each float as its exact hex form, so -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in floats]
+
+
+# Lists of ints, floats of magnitude 1e-300 to 1e300, subnormals and zeros of
+# either sign, each list redrawn from its own values so values repeat.
+_MAGNITUDES = st.floats(1e-300, 1e300)
+_NUMBERS = (st.integers(-10**6, 10**6) | _MAGNITUDES | _MAGNITUDES.map(float.__neg__)
+            | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+REPEATED_NUMBERS = st.lists(_NUMBERS, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24))
 
 
 def feat(g):
@@ -43,6 +62,35 @@ class TestSummaryStats:
             got = summary_stats(vals)
             want = oracles.naive_stats(vals)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(deadline=None, max_examples=300, derandomize=True, database=None)
+    @given(REPEATED_NUMBERS)
+    def test_median_and_mean_match_statistics(self, values):
+        vs = [float(v) for v in values]
+        got = summary_stats(values)
+        assert bits(got) == bits((min(vs), max(vs), statistics.median(vs),
+                                  statistics.fmean(vs), got[4]))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev is correctly rounded from 3.11 on")
+    @settings(deadline=None, max_examples=300, derandomize=True, database=None)
+    @given(REPEATED_NUMBERS)
+    def test_std_matches_pstdev(self, values):
+        want = statistics.pstdev([float(v) for v in values])
+        assert summary_stats(values)[4].hex() == want.hex()
+
+
+class TestCountStats:
+    @settings(deadline=None, max_examples=200, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 40) | st.integers(0, 2000), min_size=1, max_size=20)
+           .filter(any))
+    def test_matches_summary_stats_of_the_expanded_values(self, counts):
+        expanded = [k for k, c in enumerate(counts) for _ in range(c)]
+        assert bits(count_stats(counts)) == bits(summary_stats(expanded))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            count_stats([0, 0])
 
 
 class TestDensity:
@@ -120,6 +168,47 @@ class TestShortestPaths:
             assert got == want
 
 
+def layered_cfg(rng, self_loops):
+    """Random layers with dense arcs between neighbouring layers, plus a few
+    back arcs: many shortest paths of equal length between two nodes."""
+    sizes = rng.integers(1, 5, size=int(rng.integers(2, 7)))
+    layers, n = [], 0
+    for size in sizes:
+        layers.append(range(n, n + int(size)))
+        n += int(size)
+    edges = set()
+    for a, b in zip(layers, layers[1:]):
+        for u in a:
+            edges.add((u, int(rng.choice(b))))
+            edges.update((u, v) for v in b if rng.random() < 0.7)
+    for _ in range(int(rng.integers(0, 3))):
+        edges.add((int(rng.integers(0, n)), int(rng.integers(0, n))))
+    if not self_loops:
+        edges = {(u, v) for u, v in edges if u != v}
+    nodes = tuple((i, int(rng.integers(0, 3))) for i in range(n))
+    return Cfg(nodes=nodes, edges=frozenset(edges), entry=0, exits=frozenset({n - 1}))
+
+
+class TestBrandesWithoutPredecessorLists:
+    def test_matches_predecessor_list_pass_bit_for_bit(self, rng):
+        for k in range(300):
+            if k % 3:
+                g = layered_cfg(rng, self_loops=bool(k % 2))
+            else:
+                g = random_cfg(rng, n_lo=1, n_hi=25, p=2.5, self_loops=bool(k % 2))
+            got = _shortest_paths(g)
+            betweenness, closeness, lengths = oracles.brandes_with_preds(g)
+            assert bits(got.betweenness.values()) == bits(betweenness.values())
+            assert bits(got.closeness.values()) == bits(closeness.values())
+            assert shortest_path_lengths(g) == sorted(lengths)
+
+    def test_layered_graphs_have_ties(self, rng):
+        # the graphs above do exercise many shortest paths per pair
+        g = layered_cfg(np.random.default_rng(3), self_loops=True)
+        assert max(oracles.brute_betweenness(g).values()) > 0
+        assert any(len(v) > 1 for v in g.view.pred.values())
+
+
 class TestExtractFeatures:
     def test_shape_and_names(self):
         v = extract_features(path_graph())
@@ -177,8 +266,6 @@ class TestExtractFeatures:
             assert extract_features(g) == pytest.approx(extract_features(g2))
 
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="statistics.pstdev rounds differently before 3.11")
     def test_golden_digest(self):
         # sha256 of the feature bytes of 40 seeded graphs (with and without
         # self-loops), recorded before the single-pass rewrite: the vectors

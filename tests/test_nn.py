@@ -1,6 +1,5 @@
 import json
 import struct
-import sys
 import tracemalloc
 
 import numpy as np
@@ -299,6 +298,69 @@ class TestEvaluate:
             nn.evaluate(m, np.zeros((0, 23)), np.zeros(0, dtype=int))
 
 
+def tie_heavy(rng, shape):
+    """Values drawn from a few, signed zeros included, so pairs often tie."""
+    return rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], size=shape)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+LAYER_SHAPES = [(1, 1, 1), (1, 3, 7), (1, 46, 23), (32, 4, 10), (32, 5, 9), (32, 2, 2)]
+
+
+class TestLayersMatchCopyingOracles:
+    """The in-place and np.pad-free layers against the versions they
+    replaced (tests/oracles.py), bit for bit, forward and backward."""
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_maxpool(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for x in (tie_heavy(rng, shape), rng.standard_normal(shape)):
+            dout = tie_heavy(rng, shape[:2] + (shape[2] // 2,))
+            ours, ref = nn.MaxPool1D(), oracles.ArgmaxPool()
+            assert same_bits(ours.forward(x.copy(), False, None), ref.forward(x.copy()))
+            assert np.array_equal(ours._arg, ref.arg == 1)
+            assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_relu(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        x, dout = tie_heavy(rng, shape), tie_heavy(rng, shape)
+        ours, ref = nn.ReLU(), oracles.CopyingReLU()
+        assert same_bits(ours.forward(x.copy(), False, None), ref.forward(x.copy()))
+        assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("shape", LAYER_SHAPES)
+    def test_dropout(self, shape, train):
+        rng = np.random.default_rng(sum(shape) + 2)
+        x, dout = tie_heavy(rng, shape), tie_heavy(rng, shape)
+        ours, ref = nn.Dropout(0.25), oracles.CopyingDropout(0.25)
+        got = ours.forward(x.copy(), train, np.random.default_rng(9))
+        assert same_bits(got, ref.forward(x.copy(), train, np.random.default_rng(9)))
+        assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+
+    @pytest.mark.parametrize("shape, pad", [(shape, pad) for shape in LAYER_SHAPES
+                                            for pad in (0, 1) if shape[2] + 2 * pad >= 3])
+    def test_conv(self, shape, pad):
+        b, c_in, w = shape
+        rng = np.random.default_rng(sum(shape) + pad)
+        conv = nn.Conv1D(rng, c_in, 6, 3, pad)
+        conv.b[...] = rng.standard_normal(6)
+        ref = oracles.PadConvForward(conv)
+        x = tie_heavy(rng, shape)
+        assert same_bits(conv.forward(x, False, None), ref.forward(x))
+        assert same_bits(conv._cols, ref.cols)
+        dout = rng.standard_normal((b, 6, w + 2 * pad - 2))
+        dx = conv.backward(dout)
+        dW, db = conv.dW.copy(), conv.db.copy()
+        conv._cols = ref.cols
+        assert same_bits(conv.backward(dout), dx)
+        assert same_bits(conv.dW, dW) and same_bits(conv.db, db)
+
+
 def rewrite_header(raw: bytes, edit) -> bytes:
     """A checkpoint's bytes with its JSON header replaced by edit(header)."""
     (hlen,) = struct.unpack("<I", raw[8:12])
@@ -341,6 +403,33 @@ class TestCheckpoint:
         assert m2.arch == m.arch
         assert m2.class_names == m.class_names
         assert np.array_equal(m.predict_proba(X), m2.predict_proba(X))
+
+    def test_round_trip_is_bit_for_bit(self, tmp_path, rng):
+        X = rng.uniform(size=(20, 23))
+        y = np.array([0, 1] * 10)
+        for arch in nn.ARCHITECTURES:
+            m = nn.train(X, y, ("a", "b"), arch=arch, seed=3, epochs=1, batch_size=8)
+            p = tmp_path / f"{arch}.ckpt"
+            nn.save_checkpoint(m, p)
+            m2 = nn.load_checkpoint(p)
+            arrays = m.param_arrays() + [m.scaler_min, m.scaler_max]
+            arrays2 = m2.param_arrays() + [m2.scaler_min, m2.scaler_max]
+            assert all(same_bits(a, b) for a, b in zip(arrays, arrays2, strict=True))
+            assert same_bits(m2.predict_proba(X), m.predict_proba(X))
+            nn.save_checkpoint(m2, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == p.read_bytes()
+
+    def test_load_draws_no_weights(self, tmp_path, rng, monkeypatch):
+        X = rng.uniform(size=(10, 23))
+        m = nn.train(X, np.array([0, 1] * 5), ("a", "b"), arch="cnn", seed=0, epochs=1)
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(m, p)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint created a random generator")
+
+        monkeypatch.setattr(nn.np.random, "default_rng", no_generator)
+        assert same_bits(nn.load_checkpoint(p).predict_proba(X), m.predict_proba(X))
 
     def test_magic_enforced(self, tmp_path):
         p = tmp_path / "bad.ckpt"
@@ -445,8 +534,8 @@ GOLDEN_FLOAT_DIGESTS = {
 }
 
 
-@pytest.mark.skipif(not (np.__version__.startswith("2.4.") and sys.version_info >= (3, 11)),
-                    reason="float artifacts are pinned under numpy 2.4 and Python >= 3.11")
+@pytest.mark.skipif(not np.__version__.startswith("2.4."),
+                    reason="float artifacts are pinned under numpy 2.4")
 def test_golden_float_artifact_digests(golden_tree_digests):
     floats = {k: v for k, v in golden_tree_digests.items()
               if k.split("/")[1] in ("models", "metrics", "encodings", "features")}
