@@ -229,10 +229,6 @@ class SgeaResult:
     adversarial_prediction: str
 
 
-def _ascending(candidates: Sequence[Pattern]) -> list[Pattern]:
-    return sorted(candidates, key=lambda p: (p.node_count, p.code))
-
-
 def sgea_attack(
     model: Model,
     victim: Cfg,
@@ -241,21 +237,18 @@ def sgea_attack(
     mode: str = "targeted",
     *,
     original: Optional[str] = None,
-    ordered: bool = False,
 ) -> SgeaResult:
     """Try candidate patterns in ascending node-count order; the first merge
     the model (targeted) classifies as the target class wins.  On failure
     the original graph is returned unchanged.  At most len(candidates)
     model queries are issued, plus one for the victim itself unless the
-    caller passes its prediction as `original`.  With `ordered`, the
-    candidates are already in ascending (node count, code) order."""
+    caller passes its prediction as `original`."""
     if mode not in ("targeted", "nontargeted"):
         raise AttackError(f"unknown mode: {mode!r}")
     orig = predict_class(model, victim) if original is None else original
-    if not ordered:
-        candidates = _ascending(candidates)
+    ordered = sorted(candidates, key=lambda p: (p.node_count, p.code))
     attempts = 0
-    for pat in candidates:
+    for pat in ordered:
         adv_cfg = gea_merge(victim, pat.graph)
         adv = predict_class(model, adv_cfg)
         attempts += 1
@@ -275,12 +268,11 @@ def sgea_attack_all(
 ) -> tuple[AttackReport, dict[str, Cfg]]:
     """`sgea_attack` on every victim; returns the report and the merged
     graph per successful victim.  Each victim's original prediction is made
-    once, and the candidates are sorted once."""
-    ascending = _ascending(candidates)
+    once."""
 
     def craft(victim: Cfg, orig: str):
-        res = sgea_attack(model, victim, ascending, target_class, mode,
-                          original=orig, ordered=True)
+        res = sgea_attack(model, victim, candidates, target_class, mode,
+                          original=orig)
         return (res.adversarial_prediction, res.injected_nodes, res.attempts,
                 res.graph if res.success else None)
 

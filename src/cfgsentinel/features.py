@@ -73,12 +73,12 @@ def summary_stats(values: Sequence[float]) -> tuple[float, float, float, float, 
     return (min(vs), max(vs), statistics.median(vs), statistics.fmean(vs), std)
 
 
-def count_stats(counts: Sequence[int]) -> tuple[float, float, float, float, float]:
+def _count_stats(counts: Sequence[int]) -> tuple[float, float, float, float, float]:
     """`summary_stats` of the non-negative integers in which value k occurs
     counts[k] times, without expanding them; the same five floats."""
     present = [k for k, c in enumerate(counts) if c]
     if not present:
-        raise ValueError("count_stats requires a non-empty histogram")
+        raise ValueError("_count_stats requires a non-empty histogram")
     n = s = ss = 0
     for k in present:
         c = counts[k]
@@ -217,7 +217,7 @@ def extract_features(g: Cfg) -> np.ndarray:
     vec: list[float] = []
     for values in per_node:
         vec.extend(summary_stats(values))
-    vec.extend(count_stats(paths.length_counts) if any(paths.length_counts) else (0.0,) * 5)
+    vec.extend(_count_stats(paths.length_counts) if any(paths.length_counts) else (0.0,) * 5)
     vec.append(density(g))
     vec.append(float(g.edge_count))
     vec.append(float(g.node_count))

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from cfgsentinel.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
+    _count_stats,
     _shortest_paths,
     betweenness_centrality,
     closeness_centrality,
-    count_stats,
     degree_centrality,
     density,
     extract_features,
@@ -86,11 +86,11 @@ class TestCountStats:
            .filter(any))
     def test_matches_summary_stats_of_the_expanded_values(self, counts):
         expanded = [k for k, c in enumerate(counts) for _ in range(c)]
-        assert bits(count_stats(counts)) == bits(summary_stats(expanded))
+        assert bits(_count_stats(counts)) == bits(summary_stats(expanded))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            count_stats([0, 0])
+            _count_stats([0, 0])
 
 
 class TestDensity:

@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -534,8 +535,8 @@ GOLDEN_FLOAT_DIGESTS = {
 }
 
 
-@pytest.mark.skipif(not np.__version__.startswith("2.4."),
-                    reason="float artifacts are pinned under numpy 2.4")
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.") and sys.version_info >= (3, 11)),
+                    reason="float artifacts are pinned under numpy 2.4 and Python >= 3.11")
 def test_golden_float_artifact_digests(golden_tree_digests):
     floats = {k: v for k, v in golden_tree_digests.items()
               if k.split("/")[1] in ("models", "metrics", "encodings", "features")}
