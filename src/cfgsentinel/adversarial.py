@@ -10,14 +10,13 @@ prediction flips to the target class.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .features import extract_features
-from .graph import Cfg, LabeledSample
+from .graph import Cfg, LabeledSample, indented_json
 from .mining import Pattern
 from .nn import Model
 
@@ -285,7 +284,7 @@ def sgea_attack_all(
 # ---------------------------------------------------------------------------
 
 def write_report_json(report: AttackReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    Path(path).write_text(indented_json(report.to_dict()))
 
 
 def reports_to_csv(reports: Sequence[AttackReport]) -> str:

@@ -20,6 +20,7 @@ from .graph import (
     FAMILIES,
     GraphError,
     SampleClass,
+    indented_json,
     read_corpus,
     read_json,
     write_corpus,
@@ -97,10 +98,7 @@ def cmd_gen(args, cfg) -> int:
     manifest = write_corpus(samples, out)
     train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], ccfg.seed)
     (out / "splits.json").write_text(
-        json.dumps(
-            {"train": [s.id for s in train_s], "test": [s.id for s in test_s]},
-            indent=2, sort_keys=True,
-        )
+        indented_json({"train": [s.id for s in train_s], "test": [s.id for s in test_s]})
     )
     print(f"wrote {len(samples)} samples to {manifest}")
     return EXIT_OK
@@ -145,7 +143,7 @@ def cmd_eval(args, cfg) -> int:
     X = experiment.feature_matrix(keep)
     benign_index = 0 if task == "detector" else None
     metrics = nn.evaluate(model, X, y, benign_index=benign_index)
-    text = json.dumps(metrics.to_dict(), indent=2, sort_keys=True)
+    text = indented_json(metrics.to_dict())
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text)

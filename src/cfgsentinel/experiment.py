@@ -7,14 +7,13 @@ for byte (crafting-time fields are omitted in this mode).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import adversarial, corpus, features, fhmc, mining, nn
-from .graph import FAMILIES, GraphError, LabeledSample, SampleClass, write_corpus
+from .graph import FAMILIES, GraphError, LabeledSample, SampleClass, indented_json, write_corpus
 
 Sections = Mapping[str, Mapping[str, object]]
 
@@ -96,7 +95,7 @@ def task_labels(samples: Sequence[LabeledSample], task: str):
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    path.write_text(indented_json(obj))
 
 
 def run(out: str | Path, seed: int, sections: Sections | None = None, include_timing: bool = False) -> dict:

@@ -22,9 +22,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .features import extract_features
-from .graph import Cfg, LabeledSample, FAMILIES, read_json
+from .graph import Cfg, LabeledSample, FAMILIES, indented_json, read_json
 from .isomorphism import is_subgraph
-from .mining import Pattern, gspan_mine, pattern_entry, pattern_from_entry
+from .mining import Code, Pattern, gspan_mine, pattern_entry, pattern_from_entry
 from .nn import Model, train
 
 SBD_CLASSES = ("Benign", "Suspicious")
@@ -63,9 +63,17 @@ def coverage_scores(
         for sid in s:
             if sid in occurrence:
                 occurrence[sid] += 1
-    # sum in id order: set order follows the string hash seed, and float
-    # addition is not associative
-    return [sum(1.0 / occurrence[sid] for sid in sorted(s) if sid in occurrence) for s in supp]
+    # add in id order, left to right from 0.0: set order follows the string
+    # hash seed, float addition is not associative, and the built-in sum
+    # compensates its rounding from Python 3.12 on
+    scores = []
+    for s in supp:
+        total = 0.0
+        for sid in sorted(s):
+            if sid in occurrence:
+                total += 1.0 / occurrence[sid]
+        scores.append(total)
+    return scores
 
 
 def _minmax(values: Sequence[float]) -> list[float]:
@@ -106,15 +114,24 @@ class RankedPatternSet:
         return len(self.flat)
 
 
-def _count_contained(pattern: Cfg, samples: Sequence[LabeledSample], cap: int) -> int:
-    """Number of samples containing the pattern, stopping early at cap."""
+def _count_contained(
+    pattern: Cfg, samples: Sequence[LabeledSample], cap: int, misses: int
+) -> tuple[int, int]:
+    """Number of samples containing the pattern, stopping early at cap, and
+    the bit mask of samples known not to contain it.  Samples whose bit is
+    already set in `misses` are skipped; samples left untested by the early
+    stop stay unmarked."""
     n = 0
-    for s in samples:
+    for i, s in enumerate(samples):
+        if misses >> i & 1:
+            continue
         if is_subgraph(pattern, s.cfg):
             n += 1
             if n >= cap:
                 break
-    return n
+        else:
+            misses |= 1 << i
+    return n, misses
 
 
 def rank_patterns(
@@ -131,10 +148,19 @@ def rank_patterns(
     benign containment <= benign_ceiling.  Rank score: equal-weight sum of
     min-max normalized node count, family frequency, coverage, and negated
     benign occurrences (all over the filter survivors).  Ties break on
-    canonical code order."""
+    canonical code order.
+
+    Benign containment is anti-monotone along the DFS-code tree: a code's
+    prefix describes a subgraph of the code's graph, so a benign sample
+    that misses the prefix misses the code.  Candidates are tested in code
+    order, so a prefix comes before its extensions.  A benign sample that
+    an already-tested prefix of the code (the code itself included, in any
+    family) missed is not tested again; the counts, and so the result, do
+    not change."""
     if k < 1:
         raise RankingError("k must be positive")
     per_family: dict[str, list[RankedPattern]] = {}
+    benign_misses: dict[Code, int] = {}  # tested code -> bit mask of benign samples missing it
     for fam, cands in candidates.items():
         fam_samples = list(family_train.get(fam, []))
         if not fam_samples:
@@ -148,7 +174,11 @@ def rank_patterns(
             freq = p.support.get(fam, 0)
             if freq < floor:
                 continue
-            occ = _count_contained(p.graph, benign_train, cap=benign_ceiling + 1)
+            known = 0
+            for j in range(1, len(p.code) + 1):
+                known |= benign_misses.get(p.code[:j], 0)
+            occ, benign_misses[p.code] = _count_contained(
+                p.graph, benign_train, benign_ceiling + 1, known)
             if occ > benign_ceiling:
                 continue
             survivors.append(p)
@@ -347,7 +377,7 @@ def write_ranked(ranked: RankedPatternSet, path: str | Path) -> None:
             for fam, rps in ranked.per_family.items()
         }
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    Path(path).write_text(indented_json(doc))
 
 
 def read_ranked(path: str | Path) -> RankedPatternSet:

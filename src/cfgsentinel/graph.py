@@ -8,11 +8,13 @@ edges are not.  Graphs are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -169,6 +171,38 @@ def read_json(path: str | Path, error: type[ValueError] = GraphError):
         return json.loads(Path(path).read_bytes())
     except (OSError, ValueError, RecursionError) as e:
         raise error(f"{path} is not a readable JSON document: {e}") from None
+
+
+def indented_json(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without
+    the pure-Python encoder that `indent` selects: the text is joined level
+    by level, strings go through the C `encode_basestring_ascii`, and other
+    scalars through `int.__repr__`, `float.__repr__` or the C encoder.
+    Object keys must be strings."""
+    return _indented(obj, "\n")
+
+
+def _indented(o, nl: str) -> str:
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _indented(v, inner)
+             for k, v in sorted(o.items())]) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in o]) + nl + "]"
+    if t is float and math.isfinite(o):
+        return float.__repr__(o)
+    return json.dumps(o)  # bool, None, NaN, ±inf, subclasses; TypeError for the rest
 
 
 def _json_int(v) -> int:
@@ -332,7 +366,7 @@ def write_corpus(samples: Sequence[LabeledSample], root: str | Path) -> Path:
         save_graph(s.cfg, root / rel)
         entries.append({"id": s.id, "class": s.cls.value, "path": rel})
     manifest = root / "manifest.json"
-    manifest.write_text(json.dumps({"samples": entries}, indent=2, sort_keys=True))
+    manifest.write_text(indented_json({"samples": entries}))
     return manifest
 
 

@@ -26,7 +26,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import Cfg, GraphError, GraphView, SampleClass, graph_doc, read_json
+from .graph import (Cfg, GraphError, GraphView, SampleClass, graph_doc, indented_json,
+                    read_json)
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
@@ -301,7 +302,7 @@ def pattern_entry(p: Pattern, **fields) -> dict:
 def write_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
     doc = {"patterns": [pattern_entry(p, graph=graph_doc(p.graph), quality=p.quality)
                         for p in patterns]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    Path(path).write_text(indented_json(doc))
 
 
 def _is_count(v) -> bool:

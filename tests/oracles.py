@@ -419,3 +419,49 @@ class CopyingDropout:
 
     def backward(self, dout):
         return dout if self.mask is None else dout * self.mask
+
+
+# ---------------------------------------------------------------------------
+# Pattern ranking: the pattern-by-pattern benign scan
+# ---------------------------------------------------------------------------
+
+def scan_rank_patterns(candidates, family_train, benign_train, k=100,
+                       benign_ceiling=10, support_fraction=0.05):
+    """fhmc.rank_patterns with every candidate tested against every benign
+    sample in turn (up to the ceiling's early stop), nothing carried over
+    from its code prefixes.  The result must equal rank_patterns' exactly."""
+    from cfgsentinel import fhmc
+    from cfgsentinel.isomorphism import is_subgraph
+
+    per_family = {}
+    for fam, cands in candidates.items():
+        fam_samples = list(family_train[fam])
+        floor = fhmc.support_floor(len(fam_samples), support_fraction)
+        survivors, benign_occ = [], []
+        for p in sorted(cands, key=lambda p: p.code):
+            if p.support.get(fam, 0) < floor:
+                continue
+            occ = 0
+            for s in benign_train:
+                if is_subgraph(p.graph, s.cfg):
+                    occ += 1
+                    if occ > benign_ceiling:
+                        break
+            if occ <= benign_ceiling:
+                survivors.append(p)
+                benign_occ.append(occ)
+        if not survivors:
+            per_family[fam] = []
+            continue
+        cov = fhmc.coverage_scores(survivors, fam, [s.id for s in fam_samples])
+        z = [fhmc._minmax([p.node_count for p in survivors]),
+             fhmc._minmax([p.support.get(fam, 0) for p in survivors]),
+             fhmc._minmax(cov), fhmc._minmax([-o for o in benign_occ])]
+        scored = [
+            fhmc.RankedPattern(p, fam, p.support.get(fam, 0), cov[i], benign_occ[i],
+                               0.25 * (z[0][i] + z[1][i] + z[2][i] + z[3][i]))
+            for i, p in enumerate(survivors)
+        ]
+        scored.sort(key=lambda rp: (-rp.rank_score, rp.pattern.code))
+        per_family[fam] = scored[:k]
+    return fhmc.RankedPatternSet(per_family=per_family)

@@ -1,7 +1,9 @@
 """Pattern ranking, bit encoding, the suspicious-behavior screen, and the
 two-stage classification pipeline."""
 
+import functools
 import json
+import operator
 import subprocess
 import sys
 import tempfile
@@ -31,10 +33,13 @@ from cfgsentinel.fhmc import (
     write_ranked,
     write_verdicts,
 )
+from cfgsentinel import fhmc, isomorphism
 from cfgsentinel.graph import GraphError, LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
-from cfgsentinel.mining import MiningError, Pattern, canonical_dfs_code
+from cfgsentinel.mining import (MiningError, Pattern, canonical_dfs_code, gspan_mine,
+                                read_patterns, write_patterns)
 
+import oracles
 from conftest import path_graph, random_cfg, subprocess_env
 from fuzz import FUZZ, documents
 
@@ -109,6 +114,27 @@ def test_coverage_scores_independent_of_hash_seed():
         for seed in range(1, 6)
     }
     assert len(outs) == 1
+
+
+def test_coverage_scores_add_left_to_right_from_zero(rng):
+    # Python 3.12's sum compensates its rounding; the scores must be plain
+    # left-to-right additions in id order on every version
+    ids = [f"s{i:02d}" for i in range(40)]
+    for _ in range(50):
+        pats = [
+            pattern_of(chain([1, k]), {"F": 1},
+                       {"F": frozenset(s for s in ids if rng.random() < rng.random())})
+            for k in range(int(rng.integers(1, 12)))
+        ]
+        occurrence = {sid: sum(sid in p.supporting_ids["F"] for p in pats) for sid in ids}
+        expected = [
+            functools.reduce(operator.add,
+                             [1.0 / occurrence[sid] for sid in sorted(p.supporting_ids["F"])], 0.0)
+            for p in pats
+        ]
+        got = coverage_scores(pats, "F", ids)
+        assert [type(c) for c in got] == [float] * len(pats)
+        assert [c.hex() for c in got] == [e.hex() for e in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +268,78 @@ def test_mine_family_candidates_covers_present_families(rng):
         for p in pats:
             assert p.support.get(fam, 0) >= 1
             assert p.supporting_ids and fam in p.supporting_ids
+
+
+def _rank_case(seed):
+    """Two families that share three graphs, so codes recur across them;
+    each family's gSpan candidates with a random part dropped (some codes
+    lose their prefixes, as do codes below `min_nodes`); twelve benign
+    graphs over the same two labels."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_cfg(rng, n_lo=3, n_hi=7, n_labels=2) for _ in range(8)]
+    family_train = {
+        fam: [sample(f"{fam}{i}", g, SampleClass(fam)) for i, g in enumerate(gs)]
+        for fam, gs in (("FamilyA", graphs[:5]), ("FamilyB", graphs[2:]))
+    }
+    min_nodes = int(rng.integers(1, 4))
+    candidates = {}
+    for fam, samples in family_train.items():
+        mined = gspan_mine([s.cfg for s in samples], 1, min_nodes, 4,
+                           classes=[fam] * len(samples), sample_ids=[s.id for s in samples])
+        candidates[fam] = [p for p in mined if rng.random() < 0.7]
+    benign = [sample(f"b{i:02d}", random_cfg(rng, n_lo=3, n_hi=9, n_labels=2), SampleClass.BENIGN)
+              for i in range(12)]
+    return candidates, family_train, benign
+
+
+def _exact(ranked):
+    """Every field of every ranked pattern, floats as their exact hex."""
+    return {fam: [(rp.pattern.code, rp.family, rp.family_frequency, rp.coverage.hex(),
+                   rp.benign_occurrences, rp.rank_score.hex()) for rp in rps]
+            for fam, rps in ranked.per_family.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_matches_pattern_by_pattern_scan(seed, tmp_path):
+    candidates, family_train, benign = _rank_case(seed)
+    assert {p.code for p in candidates["FamilyA"]} & {p.code for p in candidates["FamilyB"]}
+    if seed % 2:  # candidates as the CLI reads them: no supporting ids
+        for fam, pats in candidates.items():
+            write_patterns(pats, tmp_path / f"{fam}.json")
+            candidates[fam] = read_patterns(tmp_path / f"{fam}.json")
+    # ceilings 0 and 1 stop early and leave benign graphs untested; a
+    # floor of 0.5 leaves low-support codes (and so prefixes) untested
+    for ceiling in (0, 1, 1000):
+        for fraction in (0.05, 0.5):
+            args = (candidates, family_train, benign, 1000, ceiling, fraction)
+            assert _exact(rank_patterns(*args)) == _exact(oracles.scan_rank_patterns(*args))
+
+
+def test_rank_skips_benign_graphs_a_tested_prefix_missed(monkeypatch):
+    candidates, family_train, benign = _rank_case(3)
+    code_of = {p.graph: p.code for pats in candidates.values() for p in pats}
+    calls = []
+
+    def recording(pattern, host):
+        hit = is_subgraph(pattern, host)
+        calls.append((code_of[pattern], next(i for i, s in enumerate(benign) if s.cfg is host), hit))
+        return hit
+
+    monkeypatch.setattr(fhmc, "is_subgraph", recording)
+    ranked = rank_patterns(candidates, family_train, benign, benign_ceiling=3)
+    missed = set()
+    for code, host, hit in calls:
+        # no prefix of the code (the code itself included) missed this host
+        assert not any((code[:j], host) in missed for j in range(1, len(code) + 1))
+        if not hit:
+            missed.add((code, host))
+
+    scan_calls = []
+    monkeypatch.setattr(isomorphism, "is_subgraph",
+                        lambda pattern, host: scan_calls.append(1) or is_subgraph(pattern, host))
+    scanned = oracles.scan_rank_patterns(candidates, family_train, benign, benign_ceiling=3)
+    assert _exact(ranked) == _exact(scanned)
+    assert len(calls) < len(scan_calls)
 
 
 # ---------------------------------------------------------------------------

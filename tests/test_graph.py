@@ -3,13 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfgsentinel.graph import (
     Cfg,
     GraphError,
     LabeledSample,
     SampleClass,
+    indented_json,
     load_graph,
     parse_dot,
     parse_graph,
@@ -228,6 +229,27 @@ class TestSerialization:
         save_graph(g, p)
         assert load_graph(p) == g
 
+
+# Scalars the writers can meet, and the edge cases of the encoder: big ints,
+# +-0.0, NaN and +-inf, non-ASCII and control characters.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.sampled_from([10**100, -(2**64), 0.0, -0.0, float("nan"),
+                                    float("inf"), float("-inf")])
+                 | st.floats() | st.text())
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(FUZZ, max_examples=400)
+@given(_JSON_TREES)
+@example([[], {}, [[]], {"a": {}}, [{}, [[], {}]], {"": [[[]]], "\x00\u00e9\U0001f600": ()}])
+@example({"z": float("nan"), "a": [-0.0, 0.0, float("-inf")], "\n": 10**400})
+def test_indented_json_equals_json_dumps(obj):
+    assert indented_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 class TestDot:
     def test_basic_digraph(self):
