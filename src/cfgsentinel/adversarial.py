@@ -161,7 +161,7 @@ class AttackReport:
 
 
 def predict_class(model: Model, g: Cfg) -> str:
-    return model.class_names[int(model.predict(extract_features(g)[None, :])[0])]
+    return model.predict_class(extract_features(g))
 
 
 def _attack_victims(

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import adversarial, corpus, experiment, features, fhmc, mining, nn
@@ -25,6 +26,7 @@ from .graph import (
     read_json,
     write_corpus,
 )
+from .isomorphism import is_subgraph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -195,11 +197,16 @@ def cmd_mine(args, cfg) -> int:
 def cmd_rank(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     train_s, _ = _split_samples(samples, args.splits) if args.splits else (list(samples), [])
-    candidates = {}
-    for fam, path in zip([f.value for f in FAMILIES], args.patterns):
-        candidates[fam] = mining.read_patterns(_existing(path, "pattern file"))
     benign_train = [s for s in train_s if s.cls is SampleClass.BENIGN]
     family_train = {f.value: [s for s in train_s if s.cls is f] for f in FAMILIES}
+    # pattern files keep support counts, not the supporting ids coverage
+    # needs: find them again by containment in the family's training samples
+    candidates = {
+        fam: [replace(p, supporting_ids={fam: frozenset(
+                  s.id for s in family_train[fam] if is_subgraph(p.graph, s.cfg))})
+              for p in mining.read_patterns(_existing(path, "pattern file"))]
+        for fam, path in zip(family_train, args.patterns)
+    }
     rank = dict(cfg["rank"], k=args.k or cfg["rank"]["k"])
     ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **rank)
     out = Path(args.out)

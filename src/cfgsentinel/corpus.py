@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .graph import Cfg, LabeledSample, SampleClass
+from .graph import Cfg, LabeledSample, SampleClass, flow_graph
 
 
 class CorpusError(ValueError):
@@ -99,33 +99,22 @@ DEFAULT_PROFILES: dict[SampleClass, ClassProfile] = {
 }
 
 
-def _motif_labels(n: int, arcs: Sequence[tuple[int, int]], label_mode: str) -> list[int]:
-    if label_mode == "uniform":
-        return [0] * n
-    out = [0] * n
-    for u, _ in arcs:
-        out[u] += 1
-    return [min(d, 3) for d in out]
+def _labeled_graph(n: int, arcs: Sequence[tuple[int, int]], label_mode: str) -> Cfg:
+    """The flow graph (`flow_graph`) of nodes 0..n-1 and `arcs`, labeled
+    under `label_mode`: all zero, or min(out-degree, 3)."""
+    labels = [0] * n
+    if label_mode != "uniform":
+        for u, _ in arcs:
+            labels[u] += 1
+        labels = [min(d, 3) for d in labels]
+    return flow_graph(list(enumerate(labels)), arcs)
 
 
 def family_motifs(cls: SampleClass, label_mode: str = "degree") -> list[Cfg]:
     """The planted motif graphs of a family, labeled under `label_mode`."""
     if cls not in _MOTIF_ARCS:
         raise CorpusError(f"{cls.value} has no motifs")
-    out = []
-    for n, arcs in _MOTIF_ARCS[cls]:
-        labels = _motif_labels(n, arcs, label_mode)
-        sources = {u for u, _ in arcs}
-        sinks = [v for v in range(n) if v not in sources]
-        out.append(
-            Cfg(
-                nodes=tuple((i, labels[i]) for i in range(n)),
-                edges=frozenset(arcs),
-                entry=0,
-                exits=frozenset(sinks) if sinks else frozenset({n - 1}),
-            )
-        )
-    return out
+    return [_labeled_graph(n, arcs, label_mode) for n, arcs in _MOTIF_ARCS[cls]]
 
 
 def _generate_sample(cls: SampleClass, profile: ClassProfile, cfg: CorpusConfig, rng) -> Cfg:
@@ -158,23 +147,7 @@ def _generate_sample(cls: SampleClass, profile: ClassProfile, cfg: CorpusConfig,
                 # degree-derived labels match the motif exactly
                 arcs.add((hook, off))
                 total += m_n
-
-    if cfg.label_mode == "uniform":
-        labels = [0] * total
-    else:
-        outd = [0] * total
-        for u, _ in arcs:
-            outd[u] += 1
-        labels = [min(d, 3) for d in outd]
-
-    sources = {u for u, _ in arcs}
-    sinks = [v for v in range(total) if v not in sources]
-    return Cfg(
-        nodes=tuple((i, labels[i]) for i in range(total)),
-        edges=frozenset(arcs),
-        entry=0,
-        exits=frozenset(sinks) if sinks else frozenset({total - 1}),
-    )
+    return _labeled_graph(total, arcs, cfg.label_mode)
 
 
 _CLASS_TAG = {

@@ -243,8 +243,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     screen_rows = []
     for key in sorted(evading):
         bits = fhmc.encode(evading[key], ranked, budget)
-        pred = sbd.class_names[int(sbd.predict(bits[None, :].astype(np.float64))[0])]
-        hit = pred == "Suspicious"
+        hit = sbd.predict_class(bits) == "Suspicious"
         flagged += int(hit)
         screen_rows.append({"graph": key, "flagged": hit})
     benign_test = [s for s in test_s if s.cls is SampleClass.BENIGN]

@@ -114,7 +114,7 @@ def degree_centrality(g: Cfg) -> dict[int, float]:
     view = g.view
     if n <= 1:
         return {i: 0.0 for i in view.ids}
-    return {i: (view.outdeg[i] + view.indeg[i]) / (n - 1) for i in view.ids}
+    return {i: (o + d) / (n - 1) for i, o, d in zip(view.ids, view.outdeg, view.indeg)}
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,16 @@ class _Paths:
 
 def _shortest_paths(g: Cfg) -> _Paths:
     """One Brandes pass (BFS with path counting, then dependency
-    accumulation) per source, in document order.  Each BFS also gives the
-    source's closeness and adds its finite path lengths to one histogram.
+    accumulation) per source, over the view's positions in document order.
+    Each BFS also gives the source's closeness and adds its finite path
+    lengths to one histogram.
 
     The dependency pass keeps no predecessor lists: a predecessor u of w lies
     on a shortest path from the source when dist[u] == dist[w] - 1.  Each
     delta[u] still takes its terms in reversed BFS order of w."""
     view = g.view
-    nodes = view.ids
+    nodes, succ, pred = view.ids, view.succ, view.pred
     n = len(nodes)
-    index = {v: k for k, v in enumerate(nodes)}
-    succ = [[index[w] for w in view.succ[v]] for v in nodes]
-    pred = [[index[u] for u in view.pred[v]] for v in nodes]
     bc = [0.0] * n
     closeness: dict[int, float] = {}
     length_counts = [0] * n

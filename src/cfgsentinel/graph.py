@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -96,42 +95,74 @@ class Cfg:
     def view(self) -> "GraphView":
         """Adjacency view, built on first use and kept for the graph's
         lifetime (the graph is immutable, so it never goes stale)."""
-        return GraphView(self)
+        ids = [i for i, _ in self.nodes]
+        index = {i: k for k, i in enumerate(ids)}
+        return GraphView(ids, [lab for _, lab in self.nodes],
+                         [(index[u], index[v]) for u, v in sorted(self.edges)])
 
 
 class GraphView:
-    """The one adjacency representation of a Cfg.
+    """The one adjacency representation, of a Cfg or of a DFS code's graph.
 
-    ids: node ids in document order.  labels: id -> label.  succ / pred:
-    id -> sorted successor / predecessor tuple.  edges: the graph's arc set.
-    outdeg / indeg: id -> degree (a self-loop counts once in each).
-    label_counts: label -> node count.  by_label: label -> ids with that
-    label, in document order.  plan: the compiled match plan when the graph
-    is used as a pattern (set by the isomorphism module).
+    Nodes are indexed by position 0..n-1, in document order.  ids[k] is the
+    node id at position k and labels[k] its label.  succ[k] / pred[k]: the
+    positions of k's successors / predecessors, in ascending node-id order.
+    edges: the arcs as position pairs.  plan: the compiled match plan when
+    the graph is used as a pattern (set by the isomorphism module).  The
+    fields only matching and features read (degrees and per-label
+    positions) are built on first use: the miner makes a view of every DFS
+    code it checks and reads none of them.
     """
 
-    __slots__ = ("ids", "labels", "succ", "pred", "edges", "outdeg", "indeg",
-                 "label_counts", "by_label", "plan")
-
-    def __init__(self, g: Cfg):
-        self.ids = tuple(i for i, _ in g.nodes)
-        self.labels = dict(g.nodes)
-        self.edges = g.edges
-        succ: dict[int, list[int]] = {i: [] for i in self.ids}
-        pred: dict[int, list[int]] = {i: [] for i in self.ids}
-        for u, v in g.edges:
+    def __init__(self, ids: Iterable[int], labels: Iterable[int],
+                 arcs: Sequence[tuple[int, int]]):
+        """`arcs` are position pairs in ascending (source id, target id)
+        order; succ and pred keep that order."""
+        self.ids = tuple(ids)
+        self.labels = tuple(labels)
+        self.edges = frozenset(arcs)
+        succ: list[list[int]] = [[] for _ in self.ids]
+        pred: list[list[int]] = [[] for _ in self.ids]
+        for u, v in arcs:
             succ[u].append(v)
             pred[v].append(u)
-        self.succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
-        self.pred = {v: tuple(sorted(us)) for v, us in pred.items()}
-        self.outdeg = {u: len(vs) for u, vs in self.succ.items()}
-        self.indeg = {v: len(us) for v, us in self.pred.items()}
-        self.label_counts = Counter(self.labels.values())
-        by_label: dict[int, list[int]] = {}
-        for i, lab in g.nodes:
-            by_label.setdefault(lab, []).append(i)
-        self.by_label = {lab: tuple(ids) for lab, ids in by_label.items()}
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
         self.plan = None
+
+    @cached_property
+    def outdeg(self) -> list[int]:
+        """Out-degree per position (a self-loop counts once)."""
+        return list(map(len, self.succ))
+
+    @cached_property
+    def indeg(self) -> list[int]:
+        """In-degree per position (a self-loop counts once)."""
+        return list(map(len, self.pred))
+
+    @cached_property
+    def by_label(self) -> dict[int, tuple[int, ...]]:
+        """Label -> the positions with that label, ascending."""
+        by_label: dict[int, list[int]] = {}
+        for k, lab in enumerate(self.labels):
+            by_label.setdefault(lab, []).append(k)
+        return {lab: tuple(ks) for lab, ks in by_label.items()}
+
+    @cached_property
+    def label_counts(self) -> dict[int, int]:
+        """Label -> node count."""
+        return {lab: len(ks) for lab, ks in self.by_label.items()}
+
+
+def flow_graph(nodes: Sequence[tuple[int, int]], arcs: Iterable[tuple[int, int]]) -> Cfg:
+    """The Cfg of (id, label) `nodes` and `arcs` under the flow-graph rule:
+    the entry is the first node; the exits are the nodes with no out-arc,
+    or the last node when every node has one."""
+    arcs = frozenset(arcs)
+    sources = {u for u, _ in arcs}
+    exits = frozenset(i for i, _ in nodes if i not in sources)
+    return Cfg(nodes=tuple(nodes), edges=arcs, entry=nodes[0][0],
+               exits=exits or frozenset({nodes[-1][0]}))
 
 
 def _validate(g: Cfg) -> None:
@@ -282,9 +313,8 @@ def parse_dot(text: str) -> Cfg:
     """Import a digraph written in a DOT subset.
 
     Node names must be integers; a numeric `label` attribute is honored and
-    all other attributes are ignored.  The entry is the first declared node;
-    exits are the sink nodes, or the last declared node when every node has
-    outgoing edges.
+    all other attributes are ignored.  Entry and exits follow `flow_graph`,
+    over the nodes in order of first mention.
     """
     body = text
     m = re.search(r"digraph\b[^{]*\{(.*)\}", text, re.DOTALL)
@@ -330,14 +360,7 @@ def parse_dot(text: str) -> Cfg:
 
     if not order:
         raise GraphError("DOT document declares no nodes")
-    sinks = [i for i in order if not any(u == i for u, _ in edges)]
-    exits = frozenset(sinks) if sinks else frozenset({order[-1]})
-    return Cfg(
-        nodes=tuple((i, labels[i]) for i in order),
-        edges=frozenset(edges),
-        entry=order[0],
-        exits=exits,
-    )
+    return flow_graph([(i, labels[i]) for i in order], edges)
 
 
 # ---------------------------------------------------------------------------

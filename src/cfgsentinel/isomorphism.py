@@ -19,13 +19,14 @@ from .graph import Cfg, GraphView
 
 
 def _pattern_order(p: GraphView) -> list[int]:
-    """Match order: start at the highest-degree node, then prefer nodes
-    connected to the already-ordered prefix."""
-    def deg(i):
-        return p.outdeg[i] + p.indeg[i]
+    """Match order, as pattern positions: start at the highest-degree node,
+    then prefer nodes connected to the already-ordered prefix; ties go to the
+    larger label, then the smaller node id."""
+    def key(i):
+        return p.outdeg[i] + p.indeg[i], p.labels[i], -p.ids[i]
 
-    remaining = set(p.ids)
-    first = max(remaining, key=lambda i: (deg(i), p.labels[i], -i))
+    remaining = set(range(len(p.ids)))
+    first = max(remaining, key=key)
     order = [first]
     remaining.discard(first)
     while remaining:
@@ -34,7 +35,7 @@ def _pattern_order(p: GraphView) -> list[int]:
             if (set(p.succ[i]) | set(p.pred[i])) & set(order)
         ]
         pool = frontier if frontier else list(remaining)
-        nxt = max(pool, key=lambda i: (deg(i), p.labels[i], -i))
+        nxt = max(pool, key=key)
         order.append(nxt)
         remaining.discard(nxt)
     return order
@@ -84,10 +85,10 @@ def _match(pattern: Cfg, host: Cfg, limit: int) -> int:
         p.plan = _compile(p)
     plan = p.plan
     size = len(plan)
-    edges = host.edges
+    edges = h.edges
     labels, outdeg, indeg = h.labels, h.outdeg, h.indeg
     succ, pred, by_label = h.succ, h.pred, h.by_label
-    mapping = [0] * size  # host node of each plan position
+    mapping = [0] * size  # host position of each plan position
     used: set[int] = set()
     found = 0
 

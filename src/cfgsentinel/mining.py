@@ -26,8 +26,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import (Cfg, GraphError, GraphView, SampleClass, graph_doc, indented_json,
-                    read_json)
+from .graph import (Cfg, GraphError, GraphView, SampleClass, flow_graph, graph_doc,
+                    indented_json, read_json)
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
@@ -91,14 +91,14 @@ def _code_labels(code: Code) -> dict[int, int]:
     return labels
 
 
-# An embedding is phi, a tuple mapping DFS index -> host node; being
+# An embedding is phi, a tuple mapping DFS index -> host position; being
 # injective, it uses a host arc exactly when the code holds its DFS-index arc.
 # A child's embeddings are recorded as (gi, phi, w): host graph, parent's phi,
 # new vertex or None; phi + (w,) is built only if the child passes its checks.
 _Rec = tuple[int, tuple[int, ...], int | None]
 
 
-def _seed_embeddings(g: GraphView | _CodeGraph, gi: int, out: dict[Entry, list[_Rec]]) -> None:
+def _seed_embeddings(g: GraphView, gi: int, out: dict[Entry, list[_Rec]]) -> None:
     """Add every single-arc starting code of `g` with its embeddings."""
     labels = g.labels
     for u, v in sorted(g.edges):
@@ -110,7 +110,7 @@ def _seed_embeddings(g: GraphView | _CodeGraph, gi: int, out: dict[Entry, list[_
 
 
 def _extensions(
-    views: Sequence[GraphView | _CodeGraph], code: Code, recs: list[_Rec], allow_forward: bool
+    views: Sequence[GraphView], code: Code, recs: list[_Rec], allow_forward: bool
 ) -> dict[Entry, list[_Rec]]:
     """Grammar-valid rightmost-path extensions of every embedding of `code`,
     grouped by the entry they append."""
@@ -158,7 +158,7 @@ def _extensions(
     return out
 
 
-def _greedy_min(g: GraphView | _CodeGraph, limit: Code | None) -> Code | None:
+def _greedy_min(g: GraphView, limit: Code | None) -> Code | None:
     """Build the minimum DFS code of a connected graph step by step.
 
     With `limit` set, abort and return None as soon as the minimum deviates
@@ -167,7 +167,7 @@ def _greedy_min(g: GraphView | _CodeGraph, limit: Code | None) -> Code | None:
     """
     n_arcs = len(g.edges)
     if n_arcs == 0:
-        lab = g.labels[g.ids[0]]
+        lab = g.labels[0]
         return ((0, 0, lab, -1, lab),)
 
     candidates: dict[Entry, list[_Rec]] = defaultdict(list)
@@ -185,7 +185,7 @@ def _greedy_min(g: GraphView | _CodeGraph, limit: Code | None) -> Code | None:
 
 def _is_connected(g: Cfg) -> bool:
     view = g.view
-    seen, stack = {view.ids[0]}, [view.ids[0]]
+    seen, stack = {0}, [0]
     while stack:
         u = stack.pop()
         for w in view.succ[u] + view.pred[u]:
@@ -205,44 +205,23 @@ def canonical_dfs_code(g: Cfg) -> Code:
     return code
 
 
-class _CodeGraph:
-    """A DFS code's graph (DFS indices as ids) with the `GraphView` fields
-    `_greedy_min` reads; adjacency order does not change the minimum."""
-
-    __slots__ = ("ids", "labels", "succ", "pred", "edges")
-
-    def __init__(self, code: Code):
-        self.labels = _code_labels(code)
-        self.ids = tuple(self.labels)
-        self.edges = _code_arcs(code)
-        self.succ: dict[int, list[int]] = {i: [] for i in self.ids}
-        self.pred: dict[int, list[int]] = {i: [] for i in self.ids}
-        for a, b in self.edges:
-            self.succ[a].append(b)
-            self.pred[b].append(a)
-
-
 def _is_min(code: Code) -> bool:
-    """True when `code` is the minimum DFS code of its own graph."""
-    return _greedy_min(_CodeGraph(code), limit=code) is not None
+    """True when `code` is the minimum DFS code of its own graph, viewed
+    with DFS indices as positions and ids."""
+    lab = _code_labels(code)
+    n = len(lab)
+    view = GraphView(range(n), [lab[v] for v in range(n)], sorted(_code_arcs(code)))
+    return _greedy_min(view, limit=code) is not None
 
 
 def code_to_graph(code: Code) -> Cfg:
-    """Materialize a DFS code as a graph with canonical ids 0..k-1.  The
-    entry is the DFS root; exits are the sinks (last vertex when none)."""
+    """Materialize a DFS code as a flow graph (`flow_graph`) with canonical
+    ids 0..k-1 in DFS order; the entry is the DFS root."""
     n = _vertex_count(code)
     labels = _code_labels(code)
     if len(labels) != n or not all(0 <= v < n for v in labels):
         raise MiningError(f"DFS indices of a {n}-vertex code must be 0..{n - 1}")
-    arcs = _code_arcs(code)
-    sources = {u for u, _ in arcs}
-    sinks = [v for v in range(n) if v not in sources]
-    return Cfg(
-        nodes=tuple((v, labels[v]) for v in range(n)),
-        edges=frozenset(arcs),
-        entry=0,
-        exits=frozenset(sinks) if sinks else frozenset({n - 1}),
-    )
+    return flow_graph([(v, labels[v]) for v in range(n)], _code_arcs(code))
 
 
 def code_to_string(code: Code) -> str:
@@ -402,8 +381,7 @@ class _Miner:
     def _single_vertices(self):
         by_label: dict[int, dict[str, set[str]]] = {}
         for gi, view in enumerate(self.views):
-            for i in view.ids:
-                lab = view.labels[i]
+            for lab in view.labels:
                 by_label.setdefault(lab, {}).setdefault(self.classes[gi], set()).add(
                     self.sample_ids[gi]
                 )

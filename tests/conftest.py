@@ -43,6 +43,20 @@ def tiny_cfg(rng: np.random.Generator, max_nodes=6, n_labels=2) -> Cfg:
                       self_loops=bool(rng.random() < 0.3))
 
 
+def relabeled(g: Cfg, rng: np.random.Generator, shuffle: bool = False) -> Cfg:
+    """`g` with sparse node ids in the same relative order (gaps of 1 to 5),
+    its nodes listed in a shuffled document order when `shuffle` is set."""
+    new, last = {}, 0
+    for i in sorted(g.node_ids):
+        last += int(rng.integers(1, 6))
+        new[i] = last
+    nodes = [(new[i], lab) for i, lab in g.nodes]
+    if shuffle:
+        nodes = [nodes[k] for k in rng.permutation(len(nodes))]
+    return Cfg(nodes=tuple(nodes), edges=frozenset((new[u], new[v]) for u, v in g.edges),
+               entry=new[g.entry], exits=frozenset(new[x] for x in g.exits))
+
+
 def subprocess_env(**extra: str) -> dict[str, str]:
     """Environment for a child Python that imports the package under test."""
     import cfgsentinel
@@ -130,7 +144,8 @@ sgea_support_fraction = 0.34
 """
 
 
-# The TINY experiment at seeds 7 and 5 in a fresh PYTHONHASHSEED=0 process;
+# The TINY experiment at seeds 7 and 5 in a fresh PYTHONHASHSEED=0 process
+# with 2 BLAS threads (the thread count changes the float artifacts' bits);
 # prints the sha256 of every file it wrote, keyed "<seed>/<path>".
 _GOLDEN_PROGRAM = """
 import configparser, hashlib, json, sys
@@ -157,7 +172,8 @@ def golden_tree_digests(tmp_path_factory):
     the files they hold fixed."""
     done = subprocess.run(
         [sys.executable, "-c", _GOLDEN_PROGRAM, str(tmp_path_factory.mktemp("golden")), TINY_INI],
-        env=subprocess_env(PYTHONHASHSEED="0"),
+        env=subprocess_env(PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="2",
+                           OMP_NUM_THREADS="2", MKL_NUM_THREADS="2"),
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)

@@ -310,11 +310,12 @@ def brandes_with_preds(g: Cfg):
     """(betweenness, closeness, path lengths in visiting order): one Brandes
     pass per source that keeps a predecessor list per node.  Betweenness and
     closeness must match features._shortest_paths bit for bit."""
-    view = g.view
-    nodes = view.ids
+    nodes = g.node_ids
     n = len(nodes)
     index = {v: k for k, v in enumerate(nodes)}
-    adj = [[index[w] for w in view.succ[v]] for v in nodes]
+    adj = [[] for _ in nodes]
+    for u, w in sorted(g.edges):  # successors in ascending id order
+        adj[index[u]].append(index[w])
     bc = [0.0] * n
     closeness = {}
     lengths = []

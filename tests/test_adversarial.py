@@ -26,6 +26,7 @@ from cfgsentinel.features import FEATURE_NAMES, extract_features
 from cfgsentinel.graph import Cfg, LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
 from cfgsentinel.mining import Pattern, canonical_dfs_code
+from cfgsentinel.nn import Model
 
 from conftest import path_graph, random_cfg
 
@@ -33,10 +34,16 @@ NODE_COUNT_IDX = FEATURE_NAMES.index("node_count")
 
 
 # ---------------------------------------------------------------------------
-# Model stubs (duck-typed: .class_names and .predict are all the attacks use)
+# Model stubs (duck-typed: the attacks call .predict_class, which is
+# nn.Model's own, over the stub's .class_names and batch .predict)
 # ---------------------------------------------------------------------------
 
-class ConstModel:
+class StubModel:
+    def predict_class(self, x):
+        return Model.predict_class(self, np.atleast_2d(x))
+
+
+class ConstModel(StubModel):
     """Always predicts the same class index."""
 
     def __init__(self, class_names, idx=0):
@@ -49,7 +56,7 @@ class ConstModel:
         return np.full(len(X), self.idx, dtype=int)
 
 
-class SizeThresholdModel:
+class SizeThresholdModel(StubModel):
     """Predicts class 1 ("Benign") once the node-count feature reaches the
     threshold, else class 0 ("Malware")."""
 
@@ -307,7 +314,7 @@ def test_sgea_query_budget():
 
 
 def test_sgea_nontargeted_mode_accepts_any_flip():
-    class ThirdClassModel:
+    class ThirdClassModel(StubModel):
         class_names = ["Malware", "Benign", "Other"]
 
         def predict(self, X):

@@ -223,6 +223,23 @@ def test_pipeline_verdicts(ws, capsys):
     assert "verdicts" in summary
 
 
+def test_rank_reproduces_repro_ranking(tmp_path):
+    # pattern files keep support counts, not supporting ids: `rank` must
+    # recover the ids, or every coverage term reads 0
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "repro"
+    assert main(["repro", "--config", str(ini), "--seed", "7", "--out", str(out)]) == EXIT_OK
+    ranked = tmp_path / "ranked.json"
+    assert main(["rank", "--config", str(ini),
+                 "--corpus", str(out / "corpus" / "manifest.json"),
+                 "--splits", str(out / "splits.json"),
+                 "--patterns", *(str(out / "patterns" / f"candidates_{fam}.json")
+                                 for fam in ("FamilyA", "FamilyB", "FamilyC")),
+                 "--out", str(ranked)]) == EXIT_OK
+    assert ranked.read_bytes() == (out / "patterns" / "ranked.json").read_bytes()
+
+
 def test_repro_byte_identical_across_processes(tmp_path):
     # string hashing is salted per process; nothing written may depend on it
     ini = tmp_path / "config.ini"

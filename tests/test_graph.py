@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from cfgsentinel.graph import (
     GraphError,
     LabeledSample,
     SampleClass,
+    flow_graph,
     indented_json,
     load_graph,
     parse_dot,
@@ -19,7 +21,7 @@ from cfgsentinel.graph import (
     serialize_graph,
     write_corpus,
 )
-from conftest import random_cfg
+from conftest import random_cfg, relabeled
 from fuzz import FUZZ, documents, json_values
 
 
@@ -100,31 +102,46 @@ class TestAdjacency:
         assert g.view.succ[1] == ()
 
     def test_matches_edge_list_construction(self, rng):
+        # sparse ids in shuffled document order: positions follow the
+        # document, neighbour tuples ascending node ids
         for _ in range(100):
-            g = random_cfg(rng, n_lo=1, n_hi=12, self_loops=True)
+            g = relabeled(random_cfg(rng, n_lo=1, n_hi=12, self_loops=True), rng, shuffle=True)
             succ = {i: [] for i in g.node_ids}
             pred = {i: [] for i in g.node_ids}
             for u, v in g.edges:
                 succ[u].append(v)
                 pred[v].append(u)
-            for got, want in ((g.view.succ, succ), (g.view.pred, pred)):
-                assert list(got) == list(g.node_ids)
-                assert got == {i: tuple(sorted(vs)) for i, vs in want.items()}
+            view = g.view
+            assert view.ids == g.node_ids
+            for got, want in ((view.succ, succ), (view.pred, pred)):
+                assert len(got) == len(view.ids)
+                assert {view.ids[k]: tuple(view.ids[j] for j in js) for k, js in enumerate(got)} \
+                    == {i: tuple(sorted(vs)) for i, vs in want.items()}
+            assert {(view.ids[a], view.ids[b]) for a, b in view.edges} == g.edges
 
 
 class TestView:
     def test_fields(self):
         g = make([(3, 1), (0, 2), (5, 1)], [(3, 0), (0, 5), (5, 5)], entry=3, exits={5})
         v = g.view
+        # positions 0, 1, 2 hold ids 3, 0, 5
         assert v.ids == (3, 0, 5)
-        assert v.labels == {3: 1, 0: 2, 5: 1}
-        assert v.succ == {3: (0,), 0: (5,), 5: (5,)}
-        assert v.pred == {3: (), 0: (3,), 5: (0, 5)}
-        assert v.outdeg == {3: 1, 0: 1, 5: 1}
-        assert v.indeg == {3: 0, 0: 1, 5: 2}
+        assert v.labels == (1, 2, 1)
+        assert v.succ == ((1,), (2,), (2,))
+        assert v.pred == ((), (0,), (1, 2))
+        assert v.edges == {(0, 1), (1, 2), (2, 2)}
+        assert v.outdeg == [1, 1, 1]
+        assert v.indeg == [0, 1, 2]
         assert v.label_counts == {1: 2, 2: 1}
-        assert v.by_label == {1: (3, 5), 2: (0,)}
+        assert v.by_label == {1: (0, 2), 2: (1,)}
         assert v.plan is None
+
+    def test_neighbours_in_id_order(self):
+        # position order (3, 0, 5) is not id order: pred of id 5 lists id 0
+        # (position 1) before id 3 (position 0)
+        g = make([(3, 1), (0, 2), (5, 1)], [(3, 0), (3, 5), (0, 5)], entry=3, exits={5})
+        assert g.view.succ == ((1, 2), (2,), ())
+        assert g.view.pred == ((), (0,), (1, 0))
 
     def test_built_once_and_outside_identity(self):
         a = make([(0, 0), (1, 0)], [(0, 1)], exits={1})
@@ -279,6 +296,31 @@ class TestDot:
     def test_rejects_unsupported_statement(self):
         with pytest.raises(GraphError):
             parse_dot("digraph { subgraph cluster0 { 0; } }")
+
+    def test_long_chain_parses_in_linear_time(self):
+        n = 20_000
+        text = "digraph {\n" + "".join(f"  {i} -> {i + 1};\n" for i in range(n - 1)) + "}\n"
+        t0 = time.perf_counter()
+        g = parse_dot(text)
+        assert time.perf_counter() - t0 < 2.0
+        assert g.node_count == n and g.exits == frozenset({n - 1})
+
+
+class TestFlowGraph:
+    def test_entry_and_exits_follow_the_rule(self, rng):
+        for _ in range(200):
+            base = relabeled(random_cfg(rng, n_lo=1, n_hi=10, p=1.5, self_loops=True),
+                             rng, shuffle=True)
+            nodes = list(base.nodes)
+            g = flow_graph(nodes, base.edges)
+            sinks = {i for i, _ in nodes} - {u for u, _ in base.edges}
+            assert g.nodes == tuple(nodes) and g.edges == base.edges
+            assert g.entry == nodes[0][0]
+            assert g.exits == (sinks or {nodes[-1][0]})
+            # the DOT importer applies the same rule to its nodes in order
+            dot = "digraph {\n" + "".join(f"{i} [label={lab}];\n" for i, lab in nodes) \
+                + "".join(f"{u} -> {v};\n" for u, v in sorted(base.edges)) + "}"
+            assert parse_dot(dot) == g
 
 
 def corpus_dir(root: Path) -> Path:
