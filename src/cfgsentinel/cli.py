@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen, features, train, eval, mine, rank, encode, attack,
-pipeline, repro.  Every subcommand accepts --seed, --config (INI file with
-per-module sections, checked against `experiment.DEFAULTS` before the
-subcommand runs), and --out.  Exit codes: 0 success, 2 usage error,
-3 missing input file, 4 invalid configuration, 5 data or runtime error.
+pipeline, repro.  Every subcommand accepts --seed (default 0), --config
+(INI file with per-module sections, checked against `experiment.DEFAULTS`
+before the subcommand runs), and --out.  Exit codes: 0 success, 2 usage
+error, 3 missing input file, 4 invalid configuration, 5 data or runtime
+error.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import adversarial, corpus, experiment, features, fhmc, mining, nn
-from .graph import (
-    FAMILIES,
-    GraphError,
-    SampleClass,
-    indented_json,
-    read_corpus,
-    read_json,
-    write_corpus,
-)
+from . import adversarial, corpus, experiment, fhmc, mining, nn
+from .graph import GraphError, SampleClass, indented_json, read_corpus
 from .isomorphism import is_subgraph
 
 EXIT_OK = 0
@@ -63,23 +56,13 @@ def _load_corpus(manifest: str):
     return read_corpus(_existing(manifest, "manifest"))
 
 
-def _load_splits(path: str) -> tuple[list[str], list[str]]:
-    doc = read_json(_existing(path, "splits file"))
-    ids = (doc.get("train"), doc.get("test")) if isinstance(doc, dict) else ()
-    if not ids or not all(
-        isinstance(part, list) and all(isinstance(i, str) for i in part) for part in ids
-    ):
-        raise GraphError(f"bad splits file {path}: train and test must be lists of sample ids")
-    return ids
-
-
 def _split_samples(samples, splits_path: str):
-    train_ids, test_ids = _load_splits(splits_path)
-    by_id = {s.id: s for s in samples}
-    missing = [i for i in train_ids + test_ids if i not in by_id]
-    if missing:
-        raise GraphError(f"splits reference unknown sample ids: {missing[:3]}")
-    return [by_id[i] for i in train_ids], [by_id[i] for i in test_ids]
+    return experiment.read_splits(_existing(splits_path, "splits file"), samples)
+
+
+def _given(flag, default):
+    """A flag's value, or `default` when the flag is absent; 0 is a value."""
+    return default if flag is None else flag
 
 
 def _load_model(path: str) -> nn.Model:
@@ -91,29 +74,16 @@ def _load_model(path: str) -> nn.Model:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args, cfg) -> int:
-    items = dict(cfg["corpus"])
-    if args.seed is not None:
-        items["seed"] = str(args.seed)
-    ccfg = corpus.config_from_mapping(items)
-    samples = corpus.generate(ccfg)
     out = Path(args.out)
-    manifest = write_corpus(samples, out)
-    train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], ccfg.seed)
-    (out / "splits.json").write_text(
-        indented_json({"train": [s.id for s in train_s], "test": [s.id for s in test_s]})
-    )
-    print(f"wrote {len(samples)} samples to {manifest}")
+    samples, _, _ = experiment.make_corpus(cfg, args.seed, out, out / "splits.json")
+    print(f"wrote {len(samples)} samples to {out / 'manifest.json'}")
     return EXIT_OK
 
 
 def cmd_features(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
-    rows = [(s.id, features.extract_features(s.cfg)) for s in samples]
-    csv_text = features.features_to_csv(rows)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv_text)
-    print(f"wrote {len(rows)} feature rows to {out}")
+    experiment.write_features(Path(args.out), samples)
+    print(f"wrote {len(samples)} feature rows to {args.out}")
     return EXIT_OK
 
 
@@ -123,13 +93,11 @@ def cmd_train(args, cfg) -> int:
         samples, _ = _split_samples(samples, args.splits)
     keep, names, y = experiment.task_labels(samples, args.task)
     X = experiment.feature_matrix(keep)
-    train = dict(cfg["train"], arch=args.arch or cfg["train"]["arch"])
-    model = nn.train(X, y, names, seed=args.seed if args.seed is not None else 0, **train)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    nn.save_checkpoint(model, out)
+    train = dict(cfg["train"], arch=_given(args.arch, cfg["train"]["arch"]))
+    model = nn.train(X, y, names, seed=args.seed, **train)
+    nn.save_checkpoint(model, Path(args.out))
     print(f"trained {model.arch} on {len(keep)} samples; final loss "
-          f"{model.loss_history[-1]:.6f}; saved to {out}")
+          f"{model.loss_history[-1]:.6f}; saved to {args.out}")
     return EXIT_OK
 
 
@@ -144,12 +112,10 @@ def cmd_eval(args, cfg) -> int:
         raise corpus.CorpusError("model classes do not match task labels")
     X = experiment.feature_matrix(keep)
     benign_index = 0 if task == "detector" else None
-    metrics = nn.evaluate(model, X, y, benign_index=benign_index)
-    text = indented_json(metrics.to_dict())
+    doc = nn.evaluate(model, X, y, benign_index=benign_index).to_dict()
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
-    print(text)
+        experiment.write_json(args.out, doc)
+    print(indented_json(doc))
     return EXIT_OK
 
 
@@ -158,47 +124,30 @@ def cmd_mine(args, cfg) -> int:
     if args.splits:
         samples, _ = _split_samples(samples, args.splits)
     sec = cfg["mining"]
-    min_nodes = args.min_nodes or sec["min_nodes"]
-    max_nodes = args.max_nodes or sec["max_nodes"]
+    nodes = {"min_nodes": _given(args.min_nodes, sec["min_nodes"]),
+             "max_nodes": _given(args.max_nodes, sec["max_nodes"])}
+    group, default_support = samples, 2
     if args.target:
         target = SampleClass.from_string(args.target)
         group = [s for s in samples if s.cls is target]
         if not group:
             raise corpus.CorpusError(f"no samples of class {args.target}")
-        min_support = args.min_support or fhmc.support_floor(len(group), sec["support_fraction"])
-        if args.discriminative:
-            patterns = mining.select_discriminative(
-                samples, target, min_support=min_support,
-                min_nodes=min_nodes, max_nodes=max_nodes,
-                top_k=args.top_k,
-            )
-        else:
-            patterns = mining.gspan_mine(
-                [s.cfg for s in group], min_support=min_support,
-                min_nodes=min_nodes, max_nodes=max_nodes,
-                classes=[target.value] * len(group),
-                sample_ids=[s.id for s in group],
-            )
+        default_support = fhmc.support_floor(len(group), sec["support_fraction"])
+    min_support = _given(args.min_support, default_support)
+    if args.discriminative:
+        patterns = mining.select_discriminative(
+            samples, target, min_support=min_support, top_k=args.top_k, **nodes)
     else:
-        patterns = mining.gspan_mine(
-            [s.cfg for s in samples],
-            min_support=args.min_support or 2,
-            min_nodes=min_nodes, max_nodes=max_nodes,
-            classes=[s.cls.value for s in samples],
-            sample_ids=[s.id for s in samples],
-        )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    mining.write_patterns(patterns, out)
-    print(f"mined {len(patterns)} patterns to {out}")
+        patterns = fhmc.mine_samples(group, min_support, **nodes)
+    mining.write_patterns(patterns, Path(args.out))
+    print(f"mined {len(patterns)} patterns to {args.out}")
     return EXIT_OK
 
 
 def cmd_rank(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     train_s, _ = _split_samples(samples, args.splits) if args.splits else (list(samples), [])
-    benign_train = [s for s in train_s if s.cls is SampleClass.BENIGN]
-    family_train = {f.value: [s for s in train_s if s.cls is f] for f in FAMILIES}
+    benign_train, family_train = fhmc.class_groups(train_s)
     # pattern files keep support counts, not the supporting ids coverage
     # needs: find them again by containment in the family's training samples
     candidates = {
@@ -207,23 +156,18 @@ def cmd_rank(args, cfg) -> int:
               for p in mining.read_patterns(_existing(path, "pattern file"))]
         for fam, path in zip(family_train, args.patterns)
     }
-    rank = dict(cfg["rank"], k=args.k or cfg["rank"]["k"])
+    rank = dict(cfg["rank"], k=_given(args.k, cfg["rank"]["k"]))
     ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **rank)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fhmc.write_ranked(ranked, out)
-    print(f"ranked {len(ranked)} patterns to {out}")
+    fhmc.write_ranked(ranked, Path(args.out))
+    print(f"ranked {len(ranked)} patterns to {args.out}")
     return EXIT_OK
 
 
 def cmd_encode(args, cfg) -> int:
     samples = _load_corpus(args.corpus)
     ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
-    bits = fhmc.encode_many(samples, ranked, cfg["encode"]["budget_seconds"])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(fhmc.encodings_to_csv([s.id for s in samples], bits))
-    print(f"encoded {len(samples)} samples x {len(ranked)} patterns to {out}")
+    experiment.write_encodings(Path(args.out), samples, ranked, cfg["encode"]["budget_seconds"])
+    print(f"encoded {len(samples)} samples x {len(ranked)} patterns to {args.out}")
     return EXIT_OK
 
 
@@ -241,7 +185,6 @@ def cmd_attack(args, cfg) -> int:
         victims = [s for s in test_s if s.cls is SampleClass.BENIGN]
         pool = [s for s in train_s if s.cls is not SampleClass.BENIGN]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.mode == "gea":
         report, _ = adversarial.gea_attack(model, victims, pool, args.strategy, target)
     else:
@@ -272,19 +215,13 @@ def cmd_pipeline(args, cfg) -> int:
         fhmc.classify_pipeline(s.cfg, detector, classifier, sbd, ranked, budget)
         for s in samples
     ]
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fhmc.write_verdicts([s.id for s in samples], verdicts, out)
-    counts: dict[str, int] = {}
-    for v in verdicts:
-        counts[v.verdict] = counts.get(v.verdict, 0) + 1
-    print(json.dumps({"verdicts": dict(sorted(counts.items()))}, sort_keys=True))
+    fhmc.write_verdicts([s.id for s in samples], verdicts, Path(args.out))
+    print(json.dumps({"verdicts": fhmc.verdict_counts(verdicts)}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_repro(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else 0
-    experiment.run(args.out, seed, cfg, include_timing=False)
+    experiment.run(args.out, args.seed, cfg)
     print(f"experiment artifacts written to {args.out}")
     return EXIT_OK
 
@@ -298,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="INI config file")
 
     p = sub.add_parser("gen", help="generate a synthetic corpus and split")
@@ -391,14 +328,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line.  Flags `mine` would ignore are usage errors
+    (SystemExit 2), as argparse's own are."""
     ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "mine" and args.discriminative and not args.target:
+        ap.error("mine --discriminative needs --target")
+    if args.command == "mine" and args.top_k is not None and not args.discriminative:
+        ap.error("mine --top-k needs --discriminative")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args, experiment.settings(_read_sections(args.config)))
+        cfg = experiment.settings(_read_sections(args.config))
+        if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        return args.fn(args, cfg)
     except MissingInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_INPUT

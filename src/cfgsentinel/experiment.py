@@ -13,13 +13,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import adversarial, corpus, features, fhmc, mining, nn
-from .graph import FAMILIES, GraphError, LabeledSample, SampleClass, indented_json, write_corpus
+from .graph import GraphError, LabeledSample, SampleClass, indented_json, read_json, write_corpus
 
 Sections = Mapping[str, Mapping[str, object]]
 
 # The INI schema of `run` and the CLI: section -> key -> default.  A value is
 # parsed with its default's type; `[corpus]` items are checked by
-# `corpus.config_from_mapping` instead.
+# `corpus.config_from_mapping` instead.  The seed is not a setting: it is
+# `run`'s `seed` argument and the CLI's `--seed`.
 DEFAULTS: dict[str, dict[str, object]] = {
     "split": {"train_fraction": 0.8},
     "train": {"arch": "cnn", "epochs": 100, "batch_size": 32, "lr": 1e-3},
@@ -46,11 +47,14 @@ DEFAULTS: dict[str, dict[str, object]] = {
 def settings(sections: Sections) -> dict[str, dict[str, object]]:
     """Every schema value: `sections` (INI strings, or values already of the
     default's type) over `DEFAULTS`, plus the raw `[corpus]` items.  Raises
-    CorpusError on an unknown section or key or a value that does not parse."""
+    CorpusError on an unknown section or key (`[corpus] seed` included) or
+    a value that does not parse."""
     unknown = sorted(set(sections) - set(DEFAULTS) - {"corpus"})
     if unknown:
         raise corpus.CorpusError(f"unknown config section: [{unknown[0]}]")
     corpus_items = dict(sections.get("corpus", {}))
+    if "seed" in corpus_items:
+        raise corpus.CorpusError("unknown config key: [corpus] seed (the seed is --seed)")
     corpus.config_from_mapping(corpus_items)
     out: dict[str, dict[str, object]] = {"corpus": corpus_items}
     for sec, defaults in DEFAULTS.items():
@@ -72,7 +76,8 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
 
 def feature_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
     """One feature row per sample, in order."""
-    return np.stack([features.extract_features(s.cfg) for s in samples])
+    rows = [features.extract_features(s.cfg) for s in samples]
+    return np.array(rows).reshape(len(rows), features.FEATURE_COUNT)
 
 
 def task_labels(samples: Sequence[LabeledSample], task: str):
@@ -93,39 +98,68 @@ def task_labels(samples: Sequence[LabeledSample], task: str):
     return keep, names, np.array(y)
 
 
-def _write_json(path: Path, obj) -> None:
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` as indented JSON to `path`, making its directory."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(indented_json(obj))
 
 
-def run(out: str | Path, seed: int, sections: Sections | None = None, include_timing: bool = False) -> dict:
+def make_corpus(cfg: Sections, seed: int, corpus_dir: Path, splits_path: Path):
+    """Generate the `[corpus]` corpus for `seed` into `corpus_dir` and its
+    `[split]` train/test split into `splits_path`, both as settled by
+    `settings`; returns (samples, train, test)."""
+    samples = corpus.generate(corpus.config_from_mapping(dict(cfg["corpus"], seed=str(seed))))
+    write_corpus(samples, corpus_dir)
+    train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], seed)
+    write_json(splits_path, {"train": [s.id for s in train_s], "test": [s.id for s in test_s]})
+    return samples, train_s, test_s
+
+
+def read_splits(path: str | Path, samples: Sequence[LabeledSample]):
+    """The (train, test) samples a splits file names: an object whose
+    "train" and "test" are non-empty lists of ids of `samples`.  Anything
+    else raises GraphError."""
+    doc = read_json(path)
+    parts = [doc.get("train"), doc.get("test")] if isinstance(doc, dict) else [None]
+    if not all(isinstance(p, list) and p and all(isinstance(i, str) for i in p) for p in parts):
+        raise GraphError(f"bad splits file {path}: train and test must be "
+                         "non-empty lists of sample ids")
+    by_id = {s.id: s for s in samples}
+    missing = [i for part in parts for i in part if i not in by_id]
+    if missing:
+        raise GraphError(f"splits reference unknown sample ids: {missing[:3]}")
+    return tuple([by_id[i] for i in part] for part in parts)
+
+
+def write_features(path: Path, samples: Sequence[LabeledSample]) -> np.ndarray:
+    """Write the feature CSV of `samples` to `path`; returns their matrix."""
+    X = feature_matrix(samples)
+    path.write_text(features.features_to_csv(zip([s.id for s in samples], X)))
+    return X
+
+
+def write_encodings(path: Path, samples: Sequence[LabeledSample], ranked,
+                    budget: float) -> np.ndarray:
+    """Write the encoding CSV of `samples` over the ranked patterns to
+    `path`; returns their bits."""
+    bits = fhmc.encode_many(samples, ranked, budget)
+    path.write_text(fhmc.encodings_to_csv([s.id for s in samples], bits))
+    return bits
+
+
+def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     """Run the full experiment under `out` with the INI `sections` (checked
     by `settings`); returns the in-memory results."""
     cfg = settings(sections or {})
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # -- corpus ------------------------------------------------------------
-    ccfg = corpus.config_from_mapping(dict(cfg["corpus"], seed=str(seed)))
-    samples = corpus.generate(ccfg)
-    write_corpus(samples, out / "corpus")
-
-    train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], seed)
-    _write_json(
-        out / "splits.json",
-        {"train": [s.id for s in train_s], "test": [s.id for s in test_s]},
-    )
-
-    # -- features ----------------------------------------------------------
-    X_train = feature_matrix(train_s)
-    X_test = feature_matrix(test_s)
+    # -- corpus and features -------------------------------------------------
+    samples, train_s, test_s = make_corpus(cfg, seed, out / "corpus", out / "splits.json")
     (out / "features").mkdir(exist_ok=True)
-    (out / "features" / "train.csv").write_text(
-        features.features_to_csv((s.id, x) for s, x in zip(train_s, X_train))
-    )
-    (out / "features" / "test.csv").write_text(
-        features.features_to_csv((s.id, x) for s, x in zip(test_s, X_test))
-    )
+    X_train = write_features(out / "features" / "train.csv", train_s)
+    X_test = write_features(out / "features" / "test.csv", test_s)
 
     # -- detector and family classifier -------------------------------------
     train = cfg["train"]
@@ -147,8 +181,8 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
 
     det_metrics = nn.evaluate(detector, X_test, y_det_test, benign_index=0)
     fam_metrics = nn.evaluate(classifier, X_test[y_det_test == 1], yf_test)
-    _write_json(out / "metrics" / "detector.json", det_metrics.to_dict())
-    _write_json(out / "metrics" / "classifier.json", fam_metrics.to_dict())
+    write_json(out / "metrics" / "detector.json", det_metrics.to_dict())
+    write_json(out / "metrics" / "classifier.json", fam_metrics.to_dict())
 
     # -- family pattern mining and ranking ----------------------------------
     candidates = fhmc.mine_family_candidates(train_s, **cfg["mining"])
@@ -157,25 +191,15 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     for fam, cands in sorted(candidates.items()):
         mining.write_patterns(cands, patterns_dir / f"candidates_{fam}.json")
 
-    benign_train = [s for s in train_s if s.cls is SampleClass.BENIGN]
-    family_train = {
-        f.value: [s for s in train_s if s.cls is f] for f in FAMILIES
-    }
+    benign_train, family_train = fhmc.class_groups(train_s)
     ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **cfg["rank"])
     fhmc.write_ranked(ranked, patterns_dir / "ranked.json")
 
     # -- encodings and the suspicious-behavior screen ------------------------
     budget = cfg["encode"]["budget_seconds"]
-    bits_train = fhmc.encode_many(train_s, ranked, budget)
-    bits_test = fhmc.encode_many(test_s, ranked, budget)
-    enc_dir = out / "encodings"
-    enc_dir.mkdir(exist_ok=True)
-    (enc_dir / "train.csv").write_text(
-        fhmc.encodings_to_csv([s.id for s in train_s], bits_train)
-    )
-    (enc_dir / "test.csv").write_text(
-        fhmc.encodings_to_csv([s.id for s in test_s], bits_test)
-    )
+    (out / "encodings").mkdir(exist_ok=True)
+    bits_train = write_encodings(out / "encodings" / "train.csv", train_s, ranked, budget)
+    bits_test = write_encodings(out / "encodings" / "test.csv", test_s, ranked, budget)
 
     sbd = fhmc.train_sbd(
         bits_train, y_det_train, seed=seed + 2,
@@ -183,7 +207,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     )
     nn.save_checkpoint(sbd, models_dir / "sbd.ckpt")
     sbd_metrics = nn.evaluate(sbd, bits_test.astype(np.float64), y_det_test, benign_index=0)
-    _write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
+    write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
 
     # -- attacks -------------------------------------------------------------
     attack = cfg["attack"]
@@ -216,7 +240,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     evading: dict[str, object] = {}
     for strategy in adversarial.STRATEGIES:
         report, merged = adversarial.gea_attack(
-            detector, mal_test, benign_train, strategy, target, include_timing=include_timing
+            detector, mal_test, benign_train, strategy, target, include_timing=False
         )
         reports[f"gea_{strategy}"] = report
         adversarial.write_report_json(report, attacks_dir / f"gea_{strategy}.json")
@@ -225,7 +249,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
                 evading[f"gea_{strategy}:{rec.sample_id}"] = merged[rec.sample_id]
 
     sgea_report, sgea_merged = adversarial.sgea_attack_all(
-        detector, mal_test, sgea_candidates, target, include_timing=include_timing
+        detector, mal_test, sgea_candidates, target, include_timing=False
     )
     reports["sgea"] = sgea_report
     adversarial.write_report_json(sgea_report, attacks_dir / "sgea.json")
@@ -246,20 +270,18 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
         hit = sbd.predict_class(bits) == "Suspicious"
         flagged += int(hit)
         screen_rows.append({"graph": key, "flagged": hit})
-    benign_test = [s for s in test_s if s.cls is SampleClass.BENIGN]
-    benign_bits = bits_test[[i for i, s in enumerate(test_s) if s.cls is SampleClass.BENIGN]]
-    benign_pred = sbd.predict(benign_bits.astype(np.float64))
+    benign_pred = sbd.predict(bits_test[y_det_test == 0].astype(np.float64))
     benign_flagged = int(np.sum(benign_pred == 1))
     screen = {
         "evading": len(evading),
         "flagged": flagged,
         "flag_rate": flagged / len(evading) if evading else None,
-        "benign_total": len(benign_test),
+        "benign_total": len(benign_pred),
         "benign_flagged": benign_flagged,
-        "benign_flag_rate": benign_flagged / len(benign_test) if benign_test else None,
+        "benign_flag_rate": benign_flagged / len(benign_pred) if len(benign_pred) else None,
         "per_graph": screen_rows,
     }
-    _write_json(attacks_dir / "sbd_screen.json", screen)
+    write_json(attacks_dir / "sbd_screen.json", screen)
 
     # -- full pipeline over the test split -----------------------------------
     verdicts = [
@@ -269,10 +291,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None, include_ti
     pipe_dir = out / "pipeline"
     pipe_dir.mkdir(exist_ok=True)
     fhmc.write_verdicts([s.id for s in test_s], verdicts, pipe_dir / "verdicts.jsonl")
-    by_verdict: dict[str, int] = {}
-    for v in verdicts:
-        by_verdict[v.verdict] = by_verdict.get(v.verdict, 0) + 1
-    _write_json(pipe_dir / "summary.json", {"verdicts": dict(sorted(by_verdict.items()))})
+    write_json(pipe_dir / "summary.json", {"verdicts": fhmc.verdict_counts(verdicts)})
 
     return {
         "samples": samples,

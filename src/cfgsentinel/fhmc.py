@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .features import extract_features
-from .graph import Cfg, LabeledSample, FAMILIES, indented_json, read_json
+from .graph import Cfg, FAMILIES, LabeledSample, SampleClass, indented_json, read_json
 from .isomorphism import is_subgraph
 from .mining import Code, Pattern, gspan_mine, pattern_entry, pattern_from_entry
 from .nn import Model, train
@@ -208,6 +209,19 @@ def rank_patterns(
     return RankedPatternSet(per_family=per_family)
 
 
+def class_groups(samples: Sequence[LabeledSample]):
+    """The benign samples, and each family's samples by family name."""
+    benign = [s for s in samples if s.cls is SampleClass.BENIGN]
+    return benign, {f.value: [s for s in samples if s.cls is f] for f in FAMILIES}
+
+
+def mine_samples(samples: Sequence[LabeledSample], min_support: int, min_nodes: int,
+                 max_nodes: int) -> list[Pattern]:
+    """`gspan_mine` over the samples' graphs, with their classes and ids."""
+    return gspan_mine([s.cfg for s in samples], min_support, min_nodes, max_nodes,
+                      [s.cls.value for s in samples], [s.id for s in samples])
+
+
 def mine_family_candidates(
     train: Sequence[LabeledSample],
     min_nodes: int = DEFAULT_MIN_NODES,
@@ -215,20 +229,10 @@ def mine_family_candidates(
     support_fraction: float = 0.05,
 ) -> dict[str, list[Pattern]]:
     """Mine candidate patterns from each family's training samples."""
-    out: dict[str, list[Pattern]] = {}
-    for fam in FAMILIES:
-        fam_samples = [s for s in train if s.cls is fam]
-        if not fam_samples:
-            continue
-        out[fam.value] = gspan_mine(
-            [s.cfg for s in fam_samples],
-            min_support=support_floor(len(fam_samples), support_fraction),
-            min_nodes=min_nodes,
-            max_nodes=max_nodes,
-            classes=[fam.value] * len(fam_samples),
-            sample_ids=[s.id for s in fam_samples],
-        )
-    return out
+    return {
+        fam: mine_samples(group, support_floor(len(group), support_fraction), min_nodes, max_nodes)
+        for fam, group in class_groups(train)[1].items() if group
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +407,11 @@ def read_ranked(path: str | Path) -> RankedPatternSet:
         ]
         for fam, entries in families.items()
     })
+
+
+def verdict_counts(verdicts: Sequence[PipelineVerdict]) -> dict[str, int]:
+    """How many of `verdicts` give each verdict, in verdict order."""
+    return dict(sorted(Counter(v.verdict for v in verdicts).items()))
 
 
 def write_verdicts(

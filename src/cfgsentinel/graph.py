@@ -195,13 +195,25 @@ def _validate(g: Cfg) -> None:
 # Graph JSON document format
 # ---------------------------------------------------------------------------
 
+def parse_json(text: str | bytes, error: type[ValueError], what: str):
+    """The JSON value in `text`; text that is not one JSON document (bad
+    syntax or encoding, an over-long integer, nesting deeper than the
+    decoder recurses) raises `error("<what>: <reason>")`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what}: {e}") from None
+
+
 def read_json(path: str | Path, error: type[ValueError] = GraphError):
     """The JSON value stored in `path`; a file that cannot be read or does
     not hold a JSON document raises `error`."""
+    what = f"{path} is not a readable JSON document"
     try:
-        return json.loads(Path(path).read_bytes())
-    except (OSError, ValueError, RecursionError) as e:
-        raise error(f"{path} is not a readable JSON document: {e}") from None
+        text = Path(path).read_bytes()
+    except OSError as e:
+        raise error(f"{what}: {e}") from None
+    return parse_json(text, error, what)
 
 
 def indented_json(obj) -> str:
@@ -251,10 +263,7 @@ def _json_edge(e) -> tuple[int, int]:
 
 def parse_graph(text: str) -> Cfg:
     """Parse a graph JSON document into a validated Cfg."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise GraphError(f"malformed graph document: {e}") from None
+    doc = parse_json(text, GraphError, "malformed graph document")
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
     for key in ("nodes", "edges", "entry", "exits"):

@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .graph import parse_json
+
 CHECKPOINT_MAGIC = b"CFGSENT1"
 
 
@@ -625,10 +627,7 @@ def load_checkpoint(path: str | Path) -> Model:
     if len(raw) < 12:
         raise ModelIOError("truncated checkpoint")
     (hlen,) = struct.unpack("<I", raw[8:12])
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise ModelIOError(f"corrupt checkpoint header: {e}") from None
+    header = parse_json(raw[12 : 12 + hlen], ModelIOError, "corrupt checkpoint header")
     if not isinstance(header, dict):
         raise ModelIOError("checkpoint header is not a JSON object")
     for key, valid in _HEADER_FIELDS.items():

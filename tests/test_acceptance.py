@@ -60,7 +60,7 @@ def default_run(tmp_path_factory):
     criteria 7-11."""
     out = tmp_path_factory.mktemp("acceptance_experiment")
     t0 = time.perf_counter()
-    res = experiment.run(out, seed=0, include_timing=False)
+    res = experiment.run(out, seed=0)
     res["_seconds"] = time.perf_counter() - t0
     return res
 

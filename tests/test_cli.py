@@ -5,6 +5,7 @@ import configparser
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from cfgsentinel.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     main,
+    parse_args,
 )
 from cfgsentinel.features import FEATURE_COUNT
 from cfgsentinel.graph import GraphError, SampleClass, read_corpus
@@ -240,6 +242,41 @@ def test_rank_reproduces_repro_ranking(tmp_path):
     assert ranked.read_bytes() == (out / "patterns" / "ranked.json").read_bytes()
 
 
+def test_cli_chain_reproduces_repro(tmp_path):
+    # each stage run as its own subcommand, with the seeds `repro` gives it,
+    # writes the bytes `repro` writes: one implementation per stage
+    cfg = ["--config", str(tmp_path / "config.ini")]
+    (tmp_path / "config.ini").write_text(TINY_INI)
+    repro, cli = tmp_path / "repro", tmp_path / "cli"
+    assert main(["repro", *cfg, "--seed", "7", "--out", str(repro)]) == EXIT_OK
+    assert main(["gen", *cfg, "--seed", "7", "--out", str(cli / "corpus")]) == EXIT_OK
+    data = ["--corpus", str(cli / "corpus" / "manifest.json"),
+            "--splits", str(cli / "corpus" / "splits.json")]
+    for task, seed in (("detector", "7"), ("classifier", "8")):
+        model = str(cli / "models" / f"{task}.ckpt")
+        assert main(["train", *cfg, *data, "--task", task, "--seed", seed,
+                     "--out", model]) == EXIT_OK
+        assert main(["eval", *cfg, "--model", model, *data,
+                     "--out", str(cli / "metrics" / f"{task}.json")]) == EXIT_OK
+    families = ("FamilyA", "FamilyB", "FamilyC")
+    candidates = [f"patterns/candidates_{fam}.json" for fam in families]
+    for fam, rel in zip(families, candidates):
+        assert main(["mine", *cfg, *data, "--target", fam, "--out", str(cli / rel)]) == EXIT_OK
+    assert main(["rank", *cfg, *data, "--patterns", *(str(cli / rel) for rel in candidates),
+                 "--out", str(cli / "patterns" / "ranked.json")]) == EXIT_OK
+
+    graphs = sorted(p.relative_to(repro) for p in (repro / "corpus").rglob("*") if p.is_file())
+    assert len(graphs) == 1 + 28
+    pairs = [(str(rel), str(rel)) for rel in graphs] + [("splits.json", "corpus/splits.json")]
+    pairs += [(rel, rel) for rel in (
+        "models/detector.ckpt", "models/classifier.ckpt",
+        "metrics/detector.json", "metrics/classifier.json",
+        *candidates, "patterns/ranked.json",
+    )]
+    for in_repro, in_cli in pairs:
+        assert (cli / in_cli).read_bytes() == (repro / in_repro).read_bytes(), in_repro
+
+
 def test_repro_byte_identical_across_processes(tmp_path):
     # string hashing is salted per process; nothing written may depend on it
     ini = tmp_path / "config.ini"
@@ -341,6 +378,7 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
         "misspelt_section": ("[train]", "[trian]"),
         "removed_attack_target": ("[attack]\n", "[attack]\ntarget = Benign\n"),
         "removed_train_seed": ("[train]\n", "[train]\nseed = 1\n"),
+        "corpus_seed": ("[corpus]\n", "[corpus]\nseed = 3\n"),
         "interpolation": ("arch = dnn", "arch = dnn%"),
     }
     commands = {
@@ -364,6 +402,49 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "bad_arch.ini"), "--arch", "cnn",
                  *commands["train"], "--out", str(tmp_path / "m.ckpt")]) == EXIT_BAD_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 0 is a value, not "use the config": the library's own checks refuse it
+    pytest.param(["mine", "--target", "FamilyA", "--min-support", "0"], EXIT_BAD_CONFIG,
+                 id="min_support_0"),
+    pytest.param(["mine", "--target", "FamilyA", "--min-nodes", "0"], EXIT_BAD_CONFIG,
+                 id="min_nodes_0"),
+    pytest.param(["mine", "--target", "FamilyA", "--max-nodes", "0"], EXIT_BAD_CONFIG,
+                 id="max_nodes_0"),
+    pytest.param(["rank", "--k", "0"], EXIT_BAD_CONFIG, id="k_0"),
+    # flags `mine` would otherwise ignore
+    pytest.param(["mine", "--discriminative", "--top-k", "3"], EXIT_USAGE,
+                 id="discriminative_without_target"),
+    pytest.param(["mine", "--discriminative"], EXIT_USAGE, id="discriminative_only"),
+    pytest.param(["mine", "--target", "FamilyA", "--top-k", "3"], EXIT_USAGE,
+                 id="top_k_without_discriminative"),
+])
+def test_flags_are_not_silently_ignored(ws, tmp_path, argv, code):
+    command, *flags = argv
+    inputs = ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"])]
+    if command == "rank":
+        inputs += ["--patterns", *map(str, ws["patterns"])]
+    out = tmp_path / "sub" / "out.json"
+    assert _run([command, "--config", str(ws["ini"]), *inputs, *flags,
+                 "--out", str(out)])[0] == code
+    # a usage error is found before the output directory is made
+    assert not (out.parent if code == EXIT_USAGE else out).exists()
+
+
+def test_readme_cli_lines_parse():
+    # every command line in the README's CLI block is one the parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cfgsentinel ")]
+    assert len(commands) == len(lines)
+    assert {argv[0] for argv in commands} == {
+        "gen", "features", "train", "eval", "mine", "rank", "encode", "attack", "pipeline",
+        "repro",
+    }
+    for argv in commands:
+        parse_args(argv)  # a usage error raises SystemExit
 
 
 def test_readme_config_matches_schema():
@@ -469,6 +550,11 @@ def _reader_cases(ws):
     document it is fuzzed from, and the CLI arguments reading `path`."""
     corpus = ["--corpus", str(ws["manifest"])]
     splits = ["--splits", str(ws["splits"])]
+    config = ["--config", str(ws["ini"])]
+    samples = read_corpus(ws["manifest"])
+    splits_case = (lambda path: experiment.read_splits(path, samples),
+                   json.loads(ws["splits"].read_text()))
+    models = [x for role in ("detector", "classifier", "sbd") for x in (f"--{role}", str(ws[role]))]
     return {
         "features": (read_corpus, json.loads(ws["manifest"].read_text()),
                      lambda path: ["features", "--corpus", str(path)]),
@@ -480,6 +566,14 @@ def _reader_cases(ws):
                                  "--mode", "sgea", "--patterns", str(path)]),
         "encode": (fhmc.read_ranked, GOOD_RANKED_DOC,
                    lambda path: ["encode", *corpus, "--ranked", str(path)]),
+        "train": (*splits_case, lambda path: ["train", *config, *corpus, "--splits", str(path),
+                                              "--task", "detector"]),
+        "eval": (*splits_case, lambda path: ["eval", "--model", str(ws["detector"]), *corpus,
+                                             "--splits", str(path)]),
+        "mine": (*splits_case, lambda path: ["mine", *config, *corpus, "--splits", str(path),
+                                             "--max-nodes", "3"]),
+        "pipeline": (*splits_case, lambda path: ["pipeline", *models, "--ranked", str(ws["ranked"]),
+                                                 *corpus, "--splits", str(path)]),
     }
 
 
@@ -515,7 +609,8 @@ def test_malformed_pattern_and_ranked_files_exit_4(ws, tmp_path):
 
 
 @FUZZ
-@given(data=st.data(), command=st.sampled_from(["features", "rank", "attack", "encode"]))
+@given(data=st.data(), command=st.sampled_from(
+    ["features", "rank", "attack", "encode", "train", "eval", "mine", "pipeline"]))
 def test_cli_reads_any_json_without_traceback(ws, data, command):
     # the CLI succeeds exactly when the library reader accepts the file, and
     # otherwise exits 4 or 5 with an error line; an uncaught exception fails

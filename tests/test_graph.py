@@ -232,6 +232,11 @@ class TestSerialization:
         with pytest.raises(GraphError):
             parse_graph("[" * 100_000 + "]" * 100_000)
 
+    def test_rejects_integer_longer_than_int_conversion_allows(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        with pytest.raises(GraphError):
+            parse_graph('{"nodes": [], "edges": [], "entry": ' + "1" * 5000 + ', "exits": []}')
+
     def test_rejects_malformed_json(self):
         with pytest.raises(GraphError):
             parse_graph("{not json")
