@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .features import extract_features
 from .graph import Cfg, LabeledSample, indented_json
@@ -262,16 +262,14 @@ def sgea_attack_all(
     victims: Sequence[LabeledSample],
     candidates: Sequence[Pattern],
     target_class: str,
-    mode: str = "targeted",
     include_timing: bool = True,
 ) -> tuple[AttackReport, dict[str, Cfg]]:
-    """`sgea_attack` on every victim; returns the report and the merged
-    graph per successful victim.  Each victim's original prediction is made
-    once."""
+    """Targeted `sgea_attack` on every victim; returns the report and the
+    merged graph per successful victim.  Each victim's original prediction
+    is made once."""
 
     def craft(victim: Cfg, orig: str):
-        res = sgea_attack(model, victim, candidates, target_class, mode,
-                          original=orig)
+        res = sgea_attack(model, victim, candidates, target_class, original=orig)
         return (res.adversarial_prediction, res.injected_nodes, res.attempts,
                 res.graph if res.success else None)
 
@@ -287,7 +285,7 @@ def write_report_json(report: AttackReport, path: str | Path) -> None:
     Path(path).write_text(indented_json(report.to_dict()))
 
 
-def reports_to_csv(reports: Sequence[AttackReport]) -> str:
+def reports_to_csv(reports: Iterable[AttackReport]) -> str:
     """Summary table: one row per attack run (sizes, rates, crafting time)."""
     lines = ["attack,strategy,target_class,eligible,mean_injected_nodes,"
              "misclassification_rate,targeted_rate,mean_crafting_seconds"]
@@ -302,5 +300,5 @@ def reports_to_csv(reports: Sequence[AttackReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_csv(reports: Sequence[AttackReport], path: str | Path) -> None:
+def write_report_csv(reports: Iterable[AttackReport], path: str | Path) -> None:
     Path(path).write_text(reports_to_csv(reports))

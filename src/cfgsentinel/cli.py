@@ -48,7 +48,7 @@ def _read_sections(path: str | None) -> dict[str, dict[str, str]]:
     try:
         parser.read_string(p.read_text())
         return {sec: dict(parser[sec]) for sec in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as e:
+    except (configparser.Error, UnicodeDecodeError, OSError) as e:
         raise corpus.CorpusError(f"bad config file: {e}") from None
 
 
@@ -58,6 +58,16 @@ def _load_corpus(manifest: str):
 
 def _split_samples(samples, splits_path: str):
     return experiment.read_splits(_existing(splits_path, "splits file"), samples)
+
+
+def _samples(args, part: str):
+    """The samples of `--corpus`, or only its `part` ("train" or "test")
+    when `--splits` is given."""
+    samples = _load_corpus(args.corpus)
+    if not args.splits:
+        return samples
+    train_s, test_s = _split_samples(samples, args.splits)
+    return train_s if part == "train" else test_s
 
 
 def _given(flag, default):
@@ -88,10 +98,7 @@ def cmd_features(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    samples = _load_corpus(args.corpus)
-    if args.splits:
-        samples, _ = _split_samples(samples, args.splits)
-    keep, names, y = experiment.task_labels(samples, args.task)
+    keep, names, y = experiment.task_labels(_samples(args, "train"), args.task)
     X = experiment.feature_matrix(keep)
     train = dict(cfg["train"], arch=_given(args.arch, cfg["train"]["arch"]))
     model = nn.train(X, y, names, seed=args.seed, **train)
@@ -103,9 +110,7 @@ def cmd_train(args, cfg) -> int:
 
 def cmd_eval(args, cfg) -> int:
     model = _load_model(args.model)
-    samples = _load_corpus(args.corpus)
-    if args.splits:
-        _, samples = _split_samples(samples, args.splits)
+    samples = _samples(args, "test")
     task = "detector" if tuple(model.class_names) == fhmc.DETECTOR_CLASSES else "classifier"
     keep, names, y = experiment.task_labels(samples, task)
     if tuple(model.class_names) != names:
@@ -120,9 +125,7 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_mine(args, cfg) -> int:
-    samples = _load_corpus(args.corpus)
-    if args.splits:
-        samples, _ = _split_samples(samples, args.splits)
+    samples = _samples(args, "train")
     sec = cfg["mining"]
     nodes = {"min_nodes": _given(args.min_nodes, sec["min_nodes"]),
              "max_nodes": _given(args.max_nodes, sec["max_nodes"])}
@@ -145,9 +148,7 @@ def cmd_mine(args, cfg) -> int:
 
 
 def cmd_rank(args, cfg) -> int:
-    samples = _load_corpus(args.corpus)
-    train_s, _ = _split_samples(samples, args.splits) if args.splits else (list(samples), [])
-    benign_train, family_train = fhmc.class_groups(train_s)
+    benign_train, family_train = fhmc.class_groups(_samples(args, "train"))
     # pattern files keep support counts, not the supporting ids coverage
     # needs: find them again by containment in the family's training samples
     candidates = {
@@ -207,9 +208,7 @@ def cmd_pipeline(args, cfg) -> int:
     classifier = _load_model(args.classifier)
     sbd = _load_model(args.sbd)
     ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
-    samples = _load_corpus(args.corpus)
-    if args.splits:
-        _, samples = _split_samples(samples, args.splits)
+    samples = _samples(args, "test")
     budget = cfg["encode"]["budget_seconds"]
     verdicts = [
         fhmc.classify_pipeline(s.cfg, detector, classifier, sbd, ranked, budget)
@@ -356,7 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     except (corpus.CorpusError, mining.MiningError, fhmc.RankingError, nn.ModelIOError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (GraphError, adversarial.AttackError, nn.TrainingError, fhmc.EncodingTimeout) as e:
+    except (GraphError, adversarial.AttackError, nn.TrainingError, fhmc.EncodingTimeout,
+            OSError) as e:  # OSError here: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

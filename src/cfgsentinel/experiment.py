@@ -27,7 +27,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "mining": {
         "min_nodes": fhmc.DEFAULT_MIN_NODES,
         "max_nodes": fhmc.DEFAULT_MAX_NODES,
-        "support_fraction": 0.9,
+        "support_fraction": fhmc.DEFAULT_MINING_FRACTION,
     },
     "rank": {
         "k": fhmc.DEFAULT_TOP_K,
@@ -238,29 +238,19 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     attacks_dir.mkdir(exist_ok=True)
     reports = {}
     evading: dict[str, object] = {}
-    for strategy in adversarial.STRATEGIES:
-        report, merged = adversarial.gea_attack(
-            detector, mal_test, benign_train, strategy, target, include_timing=False
-        )
-        reports[f"gea_{strategy}"] = report
-        adversarial.write_report_json(report, attacks_dir / f"gea_{strategy}.json")
+    # Each run: its report name, the attack, and the attack's arguments
+    # between the victims and the target.
+    runs = [(f"gea_{strategy}", adversarial.gea_attack, (benign_train, strategy))
+            for strategy in adversarial.STRATEGIES]
+    runs.append(("sgea", adversarial.sgea_attack_all, (sgea_candidates,)))
+    for name, attack_fn, args in runs:
+        report, merged = attack_fn(detector, mal_test, *args, target, include_timing=False)
+        reports[name] = report
+        adversarial.write_report_json(report, attacks_dir / f"{name}.json")
         for rec in report.records:
             if rec.sample_id in merged and rec.adversarial_prediction == target:
-                evading[f"gea_{strategy}:{rec.sample_id}"] = merged[rec.sample_id]
-
-    sgea_report, sgea_merged = adversarial.sgea_attack_all(
-        detector, mal_test, sgea_candidates, target, include_timing=False
-    )
-    reports["sgea"] = sgea_report
-    adversarial.write_report_json(sgea_report, attacks_dir / "sgea.json")
-    for rec in sgea_report.records:
-        if rec.sample_id in sgea_merged and rec.adversarial_prediction == target:
-            evading[f"sgea:{rec.sample_id}"] = sgea_merged[rec.sample_id]
-
-    adversarial.write_report_csv(
-        [reports["gea_minimum"], reports["gea_median"], reports["gea_maximum"], sgea_report],
-        attacks_dir / "summary.csv",
-    )
+                evading[f"{name}:{rec.sample_id}"] = merged[rec.sample_id]
+    adversarial.write_report_csv(reports.values(), attacks_dir / "summary.csv")
 
     # -- screen the evading adversarial graphs -------------------------------
     flagged = 0

@@ -36,6 +36,7 @@ DEFAULT_TOP_K = 100
 DEFAULT_BENIGN_CEILING = 10
 DEFAULT_MIN_NODES = 3
 DEFAULT_MAX_NODES = 8
+DEFAULT_MINING_FRACTION = 0.9
 DEFAULT_ENCODE_BUDGET = 60.0
 
 
@@ -226,7 +227,7 @@ def mine_family_candidates(
     train: Sequence[LabeledSample],
     min_nodes: int = DEFAULT_MIN_NODES,
     max_nodes: int = DEFAULT_MAX_NODES,
-    support_fraction: float = 0.05,
+    support_fraction: float = DEFAULT_MINING_FRACTION,
 ) -> dict[str, list[Pattern]]:
     """Mine candidate patterns from each family's training samples."""
     return {
@@ -262,8 +263,6 @@ def encode_many(
     patterns: Sequence[Cfg] | RankedPatternSet,
     budget_seconds: float = DEFAULT_ENCODE_BUDGET,
 ) -> np.ndarray:
-    if isinstance(patterns, RankedPatternSet):
-        patterns = patterns.graphs
     return np.stack([encode(s.cfg, patterns, budget_seconds) for s in samples])
 
 

@@ -496,21 +496,23 @@ def select_discriminative(
     if top_k is not None and top_k < 1:
         raise MiningError("top_k must be positive")
 
+    def supports(gid_sets: dict[str, set[str]]) -> tuple[int, int, int, int]:
+        """CORK's arguments: target and other hits, target and other totals."""
+        a = len(gid_sets.get(target, ()))
+        b = sum(len(v) for c, v in gid_sets.items() if c != target)
+        return a, b, pos_total, neg_total
+
     best: list[int] = []  # min-heap over the k best qualities seen
 
     def prune(code: Code, gid_sets: dict[str, set[str]]) -> bool:
         if top_k is None or len(best) < top_k:
             return False
-        a = len(gid_sets.get(target, ()))
-        b = sum(len(v) for c, v in gid_sets.items() if c != target)
-        return cork_upper_bound(a, b, pos_total, neg_total) < best[0]
+        return cork_upper_bound(*supports(gid_sets)) < best[0]
 
     collected: list[Pattern] = []
 
     def on_found(code: Code, gid_sets: dict[str, set[str]]):
-        a = len(gid_sets.get(target, ()))
-        b = sum(len(v) for c, v in gid_sets.items() if c != target)
-        q = cork_quality(a, b, pos_total, neg_total)
+        q = cork_quality(*supports(gid_sets))
         collected.append(_make_pattern(code, gid_sets, quality=q))
         if top_k is not None:
             if len(best) < top_k:

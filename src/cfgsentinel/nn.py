@@ -48,20 +48,35 @@ def _glorot(rng: Optional[np.random.Generator], shape: tuple[int, ...], fan_in: 
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Dense:
-    def __init__(self, rng, n_in: int, n_out: int):
-        self.W = _glorot(rng, (n_out, n_in), n_in, n_out)
-        self.b = np.zeros(n_out)
+class _Layer:
+    """A layer without weights."""
+
+    params: tuple = ()
+    grads: tuple = ()
+
+
+class _Weighted:
+    """A layer with Glorot weights `W` (first axis the outputs), a zero bias
+    `b`, and their gradient buffers `dW` and `db`."""
+
+    def __init__(self, rng, shape: tuple[int, ...], fan_in: int, fan_out: int):
+        self.W = _glorot(rng, shape, fan_in, fan_out)
+        self.b = np.zeros(shape[0])
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
     @property
     def params(self):
-        return [self.W, self.b]
+        return self.W, self.b
 
     @property
     def grads(self):
-        return [self.dW, self.db]
+        return self.dW, self.db
+
+
+class Dense(_Weighted):
+    def __init__(self, rng, n_in: int, n_out: int):
+        super().__init__(rng, (n_out, n_in), n_in, n_out)
 
     def forward(self, x, train, rng):
         self._x = x
@@ -75,23 +90,12 @@ class Dense:
         return dout @ self.W
 
 
-class Conv1D:
+class Conv1D(_Weighted):
     """1-D convolution, stride 1.  Input (B, C_in, W), output (B, C_out, W_out)."""
 
     def __init__(self, rng, c_in: int, c_out: int, k: int, pad: int):
+        super().__init__(rng, (c_out, c_in, k), c_in * k, c_out * k)
         self.k, self.pad = k, pad
-        self.W = _glorot(rng, (c_out, c_in, k), c_in * k, c_out * k)
-        self.b = np.zeros(c_out)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-
-    @property
-    def params(self):
-        return [self.W, self.b]
-
-    @property
-    def grads(self):
-        return [self.dW, self.db]
 
     def forward(self, x, train, rng):
         b, c_in, w = x.shape
@@ -134,15 +138,12 @@ class Conv1D:
         return dxp
 
 
-class MaxPool1D:
+class MaxPool1D(_Layer):
     """Width-2, stride-2 max pooling; an odd trailing element is dropped.
 
     The max of each pair is np.maximum of its even and odd element, and the
     argmax is the mask odd > even: a tie, signed zeros included, goes to
     the even element, as with argmax over a length-2 axis."""
-
-    params: list = []
-    grads: list = []
 
     def forward(self, x, train, rng):
         w_out = x.shape[2] // 2
@@ -159,12 +160,9 @@ class MaxPool1D:
         return full
 
 
-class ReLU:
+class ReLU(_Layer):
     """Multiplies by its mask in place: its input in forward, the incoming
     gradient in backward, both arrays the previous layer made for it."""
-
-    params: list = []
-    grads: list = []
 
     def forward(self, x, train, rng):
         self._mask = x > 0
@@ -174,12 +172,9 @@ class ReLU:
         return np.multiply(dout, self._mask, out=dout)
 
 
-class Dropout:
+class Dropout(_Layer):
     """Inverted dropout: active only in training mode, where it scales its
     input and the incoming gradient in place."""
-
-    params: list = []
-    grads: list = []
 
     def __init__(self, p: float):
         self.p = p
@@ -195,10 +190,7 @@ class Dropout:
         return dout if self._mask is None else np.multiply(dout, self._mask, out=dout)
 
 
-class Flatten:
-    params: list = []
-    grads: list = []
-
+class Flatten(_Layer):
     def forward(self, x, train, rng):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -398,13 +390,15 @@ def fit_scaler(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def apply_scaler(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    """Map into [0, 1]; constant features become 0; unseen values clamp."""
+    """Map into [0, 1]; constant features (and any whose min exceeds its
+    max) become 0; unseen values clamp."""
     X = np.asarray(X, dtype=np.float64)
     span = maxs - mins
-    out = np.zeros_like(X)
     live = span > 0
-    clipped = np.clip(X[:, live], mins[live], maxs[live])
-    out[:, live] = (clipped - mins[live]) / span[live]
+    out = np.clip(X, mins, maxs)
+    out -= mins
+    out /= np.where(live, span, 1.0)
+    np.copyto(out, 0.0, where=~live)
     return out
 
 
@@ -415,6 +409,9 @@ def apply_scaler(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarra
 # Elements per Adam sweep: a chunk of each buffer stays in cache across the
 # update's passes, and the two scratch buffers are this size, not full-size.
 ADAM_CHUNK = 32768
+# Adam's moment decays and denominator offset: the settings of Kingma & Ba,
+# "Adam: A Method for Stochastic Optimization" (ICLR 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -423,11 +420,11 @@ class Adam:
     ``m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``; a step allocates nothing."""
 
-    def __init__(self, params: list[np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[np.ndarray], lr=1e-3):
         if not all(p.flags.c_contiguous for p in params):
             raise ValueError("Adam updates contiguous parameter arrays only")
         self.params = [p.reshape(-1) for p in params]
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         size = min(ADAM_CHUNK, max((p.size for p in self.params), default=0))
@@ -436,7 +433,7 @@ class Adam:
 
     def step(self, grads: list[np.ndarray]):
         self.t += 1
-        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
             g = g.reshape(-1)
@@ -621,7 +618,10 @@ _HEADER_FIELDS = {
 def load_checkpoint(path: str | Path) -> Model:
     """Load and validate a checkpoint: magic, header syntax, the full shape
     chain implied by (arch, input width, class count), and payload length."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise ModelIOError(f"unreadable checkpoint: {e}") from None
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ModelIOError("bad checkpoint magic")
     if len(raw) < 12:

@@ -422,6 +422,18 @@ class CopyingDropout:
         return dout if self.mask is None else dout * self.mask
 
 
+def masked_apply_scaler(X, mins, maxs):
+    """The min-max scaler over the live columns only, picked out by boolean
+    indexing; every other column is 0."""
+    X = np.asarray(X, dtype=np.float64)
+    span = maxs - mins
+    out = np.zeros_like(X)
+    live = span > 0
+    clipped = np.clip(X[:, live], mins[live], maxs[live])
+    out[:, live] = (clipped - mins[live]) / span[live]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pattern ranking: the pattern-by-pattern benign scan
 # ---------------------------------------------------------------------------

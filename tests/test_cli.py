@@ -608,6 +608,32 @@ def test_malformed_pattern_and_ranked_files_exit_4(ws, tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("case, code", [
+    ("features_out_under_a_file", EXIT_RUNTIME),
+    ("features_out_is_a_directory", EXIT_RUNTIME),
+    ("gen_out_is_a_file", EXIT_RUNTIME),
+    ("gen_config_is_a_directory", EXIT_BAD_CONFIG),
+    ("eval_model_is_a_directory", EXIT_BAD_CONFIG),
+])
+def test_unreadable_inputs_and_unwritable_outputs_exit_cleanly(ws, tmp_path, case, code):
+    # an input that exists but cannot be read is bad configuration (4); an
+    # output that cannot be written is a runtime error (5); neither is a traceback
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n")
+    manifest, ini = str(ws["manifest"]), str(ws["ini"])
+    argv = {
+        "features_out_under_a_file": ["features", "--corpus", manifest,
+                                      "--out", str(ws["manifest"] / "x.csv")],
+        "features_out_is_a_directory": ["features", "--corpus", manifest,
+                                        "--out", str(tmp_path)],
+        "gen_out_is_a_file": ["gen", "--config", ini, "--out", str(a_file)],
+        "gen_config_is_a_directory": ["gen", "--config", str(tmp_path),
+                                      "--out", str(tmp_path / "c")],
+        "eval_model_is_a_directory": ["eval", "--model", str(tmp_path), "--corpus", manifest],
+    }[case]
+    _assert_rejected(*_run(argv), code, case)
+
+
 @FUZZ
 @given(data=st.data(), command=st.sampled_from(
     ["features", "rank", "attack", "encode", "train", "eval", "mine", "pipeline"]))

@@ -33,7 +33,7 @@ from cfgsentinel.fhmc import (
     write_ranked,
     write_verdicts,
 )
-from cfgsentinel import fhmc, isomorphism
+from cfgsentinel import experiment, fhmc, isomorphism
 from cfgsentinel.graph import GraphError, LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
 from cfgsentinel.mining import (MiningError, Pattern, canonical_dfs_code, gspan_mine,
@@ -268,6 +268,18 @@ def test_mine_family_candidates_covers_present_families(rng):
         for p in pats:
             assert p.support.get(fam, 0) >= 1
             assert p.supporting_ids and fam in p.supporting_ids
+
+
+def test_mine_family_candidates_defaults_to_the_schema_support():
+    # omitting support_fraction mines at the support `repro` and CLI `mine` use
+    train = [sample(f"a{i}", chain([1, 1, 1, 1])) for i in range(9)]
+    train.append(sample("a9", chain([2, 3, 4, 5])))
+    mine = functools.partial(mine_family_candidates, train, min_nodes=2, max_nodes=3)
+    schema = experiment.DEFAULTS["mining"]["support_fraction"]
+    assert mine() == mine(support_fraction=schema)
+    assert fhmc.DEFAULT_MINING_FRACTION == schema
+    # at a low fraction the odd sample's patterns are kept, so the case can tell
+    assert mine() != mine(support_fraction=0.05)
 
 
 def _rank_case(seed):

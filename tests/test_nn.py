@@ -150,6 +150,26 @@ class TestScaler:
         out = nn.apply_scaler(np.array([[-5.0], [15.0]]), mn, mx)
         assert out[0, 0] == 0.0 and out[1, 0] == 1.0
 
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("width", [23, 300])
+    def test_matches_masked_oracle_bit_for_bit(self, batch, width):
+        rng = np.random.default_rng(batch * 1000 + width)
+        for trial in range(20):
+            mins = rng.normal(size=width) * 10.0 ** rng.integers(-3, 4)
+            maxs = mins + rng.exponential(size=width) * 10.0 ** rng.integers(-3, 4)
+            kind = rng.integers(0, 3, size=width)
+            maxs[kind == 1] = mins[kind == 1]  # constant columns
+            if trial % 2:
+                maxs[kind == 2] = mins[kind == 2] - 1.0  # min > max, as a checkpoint may hold
+            # values inside, below and above each column's range, and on its ends
+            X = mins + (maxs - mins) * rng.uniform(-0.5, 1.5, size=(batch, width))
+            X[:, ::7] = mins[::7]
+            X[:, 3::7] = maxs[3::7]
+            got = nn.apply_scaler(X, mins, maxs)
+            want = oracles.masked_apply_scaler(X, mins, maxs)
+            assert got.tobytes() == want.tobytes(), trial
+            assert not np.any(got[:, maxs <= mins])
+
 
 class TestTraining:
     def separable_toy(self, n=64):

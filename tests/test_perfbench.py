@@ -1,0 +1,56 @@
+"""The benchmark's traced run wraps library functions by name
+(`perfbench/layers.instrument`).  A rename in the library would break only
+that run, so this checks every patch point in-process: each wraps at least
+one site, and `restore` puts every original back."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PATCH_POINTS = 21
+
+
+def _package_bindings():
+    """Every name bound in a loaded cfgsentinel module or in the dict of a
+    class defined there, with the object it is bound to."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "cfgsentinel" or name.startswith("cfgsentinel.")):
+            continue
+        for key, value in vars(mod).items():
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, member in vars(value).items():
+                    out[(name, key, attr)] = member
+    return out
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    yield layers, tracer
+    for name in ("layers", "tracer"):
+        sys.modules.pop(name, None)
+
+
+def test_every_patch_point_wraps_a_site_and_is_restored(perfbench_modules):
+    layers, tracer = perfbench_modules
+    import cfgsentinel.cli  # noqa: F401  (a module that imports the others)
+
+    before = _package_bindings()
+    patch = layers.instrument(tracer.Tracer())
+    try:
+        assert len(patch.sites) == PATCH_POINTS
+        unwrapped = [point for point, sites in patch.sites.items() if not sites]
+        assert not unwrapped
+    finally:
+        patch.restore()
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert not moved
