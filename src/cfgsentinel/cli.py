@@ -204,17 +204,10 @@ def cmd_attack(args, cfg) -> int:
 
 
 def cmd_pipeline(args, cfg) -> int:
-    detector = _load_model(args.detector)
-    classifier = _load_model(args.classifier)
-    sbd = _load_model(args.sbd)
+    models = [_load_model(path) for path in (args.detector, args.classifier, args.sbd)]
     ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
-    samples = _samples(args, "test")
-    budget = cfg["encode"]["budget_seconds"]
-    verdicts = [
-        fhmc.classify_pipeline(s.cfg, detector, classifier, sbd, ranked, budget)
-        for s in samples
-    ]
-    fhmc.write_verdicts([s.id for s in samples], verdicts, Path(args.out))
+    verdicts = experiment.write_pipeline(Path(args.out), _samples(args, "test"), models,
+                                         ranked, cfg["encode"]["budget_seconds"])
     print(json.dumps({"verdicts": fhmc.verdict_counts(verdicts)}, sort_keys=True))
     return EXIT_OK
 

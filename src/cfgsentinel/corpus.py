@@ -62,6 +62,8 @@ _MOTIF_ARCS: dict[SampleClass, tuple[tuple[int, tuple[tuple[int, int], ...]], ..
 }
 
 LABEL_MODES = ("degree", "uniform")
+# The `[split]` schema default: the share of each class that trains.
+DEFAULT_TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,8 @@ def generate(config: CorpusConfig) -> list[LabeledSample]:
     return samples
 
 
-def split(
-    samples: Sequence[LabeledSample], train_fraction: float = 0.8, seed: int = 0
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
+def split(samples: Sequence[LabeledSample], train_fraction: float = DEFAULT_TRAIN_FRACTION,
+          seed: int = 0) -> tuple[list[LabeledSample], list[LabeledSample]]:
     """Stratified train/test split: each class is shuffled with a seeded rng
     and cut at round(train_fraction * n), keeping at least one sample on
     each side.  Classes with fewer than two samples are rejected."""

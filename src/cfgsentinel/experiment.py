@@ -22,8 +22,9 @@ Sections = Mapping[str, Mapping[str, object]]
 # `corpus.config_from_mapping` instead.  The seed is not a setting: it is
 # `run`'s `seed` argument and the CLI's `--seed`.
 DEFAULTS: dict[str, dict[str, object]] = {
-    "split": {"train_fraction": 0.8},
-    "train": {"arch": "cnn", "epochs": 100, "batch_size": 32, "lr": 1e-3},
+    "split": {"train_fraction": corpus.DEFAULT_TRAIN_FRACTION},
+    "train": {"arch": "cnn", "epochs": nn.DEFAULT_EPOCHS, "batch_size": nn.DEFAULT_BATCH_SIZE,
+              "lr": nn.DEFAULT_LR},
     "mining": {
         "min_nodes": fhmc.DEFAULT_MIN_NODES,
         "max_nodes": fhmc.DEFAULT_MAX_NODES,
@@ -32,7 +33,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "rank": {
         "k": fhmc.DEFAULT_TOP_K,
         "benign_ceiling": fhmc.DEFAULT_BENIGN_CEILING,
-        "support_fraction": 0.05,
+        "support_fraction": fhmc.DEFAULT_RANK_FRACTION,
     },
     "encode": {"budget_seconds": fhmc.DEFAULT_ENCODE_BUDGET},
     "attack": {
@@ -148,6 +149,15 @@ def write_encodings(path: Path, samples: Sequence[LabeledSample], ranked,
     return bits
 
 
+def write_pipeline(path: Path, samples: Sequence[LabeledSample], models, ranked,
+                   budget: float) -> list:
+    """Classify `samples` through `models` (detector, family classifier,
+    screen) and write their verdicts to `path`; returns the verdicts."""
+    verdicts = [fhmc.classify_pipeline(s.cfg, *models, ranked, budget) for s in samples]
+    fhmc.write_verdicts([s.id for s in samples], verdicts, path)
+    return verdicts
+
+
 def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     """Run the full experiment under `out` with the INI `sections` (checked
     by `settings`); returns the in-memory results."""
@@ -206,7 +216,7 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
         epochs=train["epochs"], batch_size=train["batch_size"],
     )
     nn.save_checkpoint(sbd, models_dir / "sbd.ckpt")
-    sbd_metrics = nn.evaluate(sbd, bits_test.astype(np.float64), y_det_test, benign_index=0)
+    sbd_metrics = nn.evaluate(sbd, bits_test, y_det_test, benign_index=0)
     write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
 
     # -- attacks -------------------------------------------------------------
@@ -260,27 +270,24 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
         hit = sbd.predict_class(bits) == "Suspicious"
         flagged += int(hit)
         screen_rows.append({"graph": key, "flagged": hit})
-    benign_pred = sbd.predict(bits_test[y_det_test == 0].astype(np.float64))
-    benign_flagged = int(np.sum(benign_pred == 1))
+    # the screen's false alarms are the Benign row of its test evaluation
+    benign_row = sbd_metrics.confusion[0]
     screen = {
         "evading": len(evading),
         "flagged": flagged,
         "flag_rate": flagged / len(evading) if evading else None,
-        "benign_total": len(benign_pred),
-        "benign_flagged": benign_flagged,
-        "benign_flag_rate": benign_flagged / len(benign_pred) if len(benign_pred) else None,
+        "benign_total": int(benign_row.sum()),
+        "benign_flagged": int(benign_row[1]),
+        "benign_flag_rate": sbd_metrics.fpr,
         "per_graph": screen_rows,
     }
     write_json(attacks_dir / "sbd_screen.json", screen)
 
     # -- full pipeline over the test split -----------------------------------
-    verdicts = [
-        fhmc.classify_pipeline(s.cfg, detector, classifier, sbd, ranked, budget)
-        for s in test_s
-    ]
     pipe_dir = out / "pipeline"
     pipe_dir.mkdir(exist_ok=True)
-    fhmc.write_verdicts([s.id for s in test_s], verdicts, pipe_dir / "verdicts.jsonl")
+    verdicts = write_pipeline(pipe_dir / "verdicts.jsonl", test_s,
+                              (detector, classifier, sbd), ranked, budget)
     write_json(pipe_dir / "summary.json", {"verdicts": fhmc.verdict_counts(verdicts)})
 
     return {

@@ -26,7 +26,7 @@ from .features import extract_features
 from .graph import Cfg, FAMILIES, LabeledSample, SampleClass, indented_json, read_json
 from .isomorphism import is_subgraph
 from .mining import Code, Pattern, gspan_mine, pattern_entry, pattern_from_entry
-from .nn import Model, train
+from .nn import DEFAULT_BATCH_SIZE, DEFAULT_EPOCHS, Model, train
 
 SBD_CLASSES = ("Benign", "Suspicious")
 DETECTOR_CLASSES = ("Benign", "Malware")
@@ -37,6 +37,7 @@ DEFAULT_BENIGN_CEILING = 10
 DEFAULT_MIN_NODES = 3
 DEFAULT_MAX_NODES = 8
 DEFAULT_MINING_FRACTION = 0.9
+DEFAULT_RANK_FRACTION = 0.05
 DEFAULT_ENCODE_BUDGET = 60.0
 
 
@@ -48,7 +49,7 @@ class EncodingTimeout(RuntimeError):
     """Raised when encoding one sample exceeds its time budget."""
 
 
-def support_floor(family_train_count: int, fraction: float = 0.05) -> int:
+def support_floor(family_train_count: int, fraction: float) -> int:
     """Minimum family support a candidate must reach."""
     return max(1, math.ceil(fraction * family_train_count))
 
@@ -142,7 +143,7 @@ def rank_patterns(
     benign_train: Sequence[LabeledSample],
     k: int = DEFAULT_TOP_K,
     benign_ceiling: int = DEFAULT_BENIGN_CEILING,
-    support_fraction: float = 0.05,
+    support_fraction: float = DEFAULT_RANK_FRACTION,
 ) -> RankedPatternSet:
     """Filter and rank mined candidates per family.
 
@@ -263,7 +264,9 @@ def encode_many(
     patterns: Sequence[Cfg] | RankedPatternSet,
     budget_seconds: float = DEFAULT_ENCODE_BUDGET,
 ) -> np.ndarray:
-    return np.stack([encode(s.cfg, patterns, budget_seconds) for s in samples])
+    """One bit row per sample, in order."""
+    rows = [encode(s.cfg, patterns, budget_seconds) for s in samples]
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), len(patterns))
 
 
 def encodings_to_csv(ids: Sequence[str], bits: np.ndarray) -> str:
@@ -282,8 +285,8 @@ def train_sbd(
     encodings: np.ndarray,
     labels: np.ndarray,
     seed: int = 0,
-    epochs: int = 100,
-    batch_size: int = 32,
+    epochs: int = DEFAULT_EPOCHS,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> Model:
     """Train the two-class (Benign/Suspicious) screen on bit encodings.
     Uses the convolutional stack with its shape chain recomputed for the
@@ -291,7 +294,7 @@ def train_sbd(
     if encodings.ndim != 2:
         raise RankingError("encodings must be a 2-D bit matrix")
     return train(
-        encodings.astype(np.float64),
+        encodings,
         labels,
         class_names=SBD_CLASSES,
         arch="cnn",
@@ -335,28 +338,21 @@ def classify_pipeline(
 ) -> PipelineVerdict:
     """detector -> family classifier for malware, or pattern screen for
     benign-looking inputs.  Only the stages on the taken path run."""
-    feats = extract_features(g)[None, :]
+    feats = extract_features(g)
     det_probs = detector.predict_proba(feats)[0]
-    det_idx = int(det_probs.argmax())
-    if detector.class_names[det_idx] == "Malware":
-        fam_probs = family_classifier.predict_proba(feats)[0]
-        fam = family_classifier.class_names[int(fam_probs.argmax())]
-        return PipelineVerdict(
-            verdict="Malware",
-            family=fam,
-            stage="classifier",
-            detector_probs=tuple(float(x) for x in det_probs),
-            stage_probs=tuple(float(x) for x in fam_probs),
-        )
-    bits = encode(g, patterns, budget_seconds)
-    sbd_probs = sbd.predict_proba(bits[None, :].astype(np.float64))[0]
-    verdict = sbd.class_names[int(sbd_probs.argmax())]
+    malware = detector.class_names[int(det_probs.argmax())] == "Malware"
+    if malware:
+        stage, model, x = "classifier", family_classifier, feats
+    else:
+        stage, model, x = "sbd", sbd, encode(g, patterns, budget_seconds)
+    stage_probs = model.predict_proba(x)[0]
+    label = model.class_names[int(stage_probs.argmax())]
     return PipelineVerdict(
-        verdict=verdict,
-        family=None,
-        stage="sbd",
-        detector_probs=tuple(float(x) for x in det_probs),
-        stage_probs=tuple(float(x) for x in sbd_probs),
+        verdict="Malware" if malware else label,
+        family=label if malware else None,
+        stage=stage,
+        detector_probs=tuple(float(p) for p in det_probs),
+        stage_probs=tuple(float(p) for p in stage_probs),
     )
 
 

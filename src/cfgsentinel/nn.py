@@ -412,6 +412,7 @@ ADAM_CHUNK = 32768
 # Adam's moment decays and denominator offset: the settings of Kingma & Ba,
 # "Adam: A Method for Stochastic Optimization" (ICLR 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+DEFAULT_EPOCHS, DEFAULT_BATCH_SIZE, DEFAULT_LR = 100, 32, 1e-3  # the `[train]` defaults
 
 
 class Adam:
@@ -420,7 +421,7 @@ class Adam:
     ``m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``; a step allocates nothing."""
 
-    def __init__(self, params: list[np.ndarray], lr=1e-3):
+    def __init__(self, params: list[np.ndarray], lr=DEFAULT_LR):
         if not all(p.flags.c_contiguous for p in params):
             raise ValueError("Adam updates contiguous parameter arrays only")
         self.params = [p.reshape(-1) for p in params]
@@ -463,9 +464,9 @@ def train(
     class_names: Sequence[str],
     arch: str = "cnn",
     seed: int = 0,
-    epochs: int = 100,
-    batch_size: int = 32,
-    lr: float = 1e-3,
+    epochs: int = DEFAULT_EPOCHS,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    lr: float = DEFAULT_LR,
 ) -> Model:
     """Train a detector/classifier on raw feature rows.  Fits the min-max
     scaler on X, then runs seeded shuffled mini-batch Adam.  The same seed

@@ -1,8 +1,10 @@
 """Command-line interface: every subcommand's happy path on a small corpus,
 plus the documented exit codes."""
 
+import ast
 import configparser
 import contextlib
+import inspect
 import io
 import json
 import shlex
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cfgsentinel
 from cfgsentinel import experiment, fhmc, mining, nn
 from cfgsentinel.cli import (
     EXIT_BAD_CONFIG,
@@ -264,6 +267,12 @@ def test_cli_chain_reproduces_repro(tmp_path):
         assert main(["mine", *cfg, *data, "--target", fam, "--out", str(cli / rel)]) == EXIT_OK
     assert main(["rank", *cfg, *data, "--patterns", *(str(cli / rel) for rel in candidates),
                  "--out", str(cli / "patterns" / "ranked.json")]) == EXIT_OK
+    # no subcommand trains the screen: `pipeline` takes `repro`'s
+    assert main(["pipeline", *cfg, *data, "--detector", str(cli / "models" / "detector.ckpt"),
+                 "--classifier", str(cli / "models" / "classifier.ckpt"),
+                 "--sbd", str(repro / "models" / "sbd.ckpt"),
+                 "--ranked", str(cli / "patterns" / "ranked.json"),
+                 "--out", str(cli / "pipeline" / "verdicts.jsonl")]) == EXIT_OK
 
     graphs = sorted(p.relative_to(repro) for p in (repro / "corpus").rglob("*") if p.is_file())
     assert len(graphs) == 1 + 28
@@ -271,7 +280,7 @@ def test_cli_chain_reproduces_repro(tmp_path):
     pairs += [(rel, rel) for rel in (
         "models/detector.ckpt", "models/classifier.ckpt",
         "metrics/detector.json", "metrics/classifier.json",
-        *candidates, "patterns/ranked.json",
+        *candidates, "patterns/ranked.json", "pipeline/verdicts.jsonl",
     )]
     for in_repro, in_cli in pairs:
         assert (cli / in_cli).read_bytes() == (repro / in_repro).read_bytes(), in_repro
@@ -447,6 +456,23 @@ def test_readme_cli_lines_parse():
         parse_args(argv)  # a usage error raises SystemExit
 
 
+def test_readme_python_api_calls_bind():
+    # every `cs.<name>(...)` call in the README's Python block names an
+    # exported function whose signature takes its arguments
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Python API\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    calls = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "cs"]
+    assert len(calls) >= 10
+    for call in calls:
+        name = call.func.attr
+        assert name in cfgsentinel.__all__, name
+        assert all(kw.arg for kw in call.keywords), name
+        inspect.signature(getattr(cfgsentinel, name)).bind(
+            *call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
 def test_readme_config_matches_schema():
     # The README's config block documents every schema key with its default.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -535,6 +561,38 @@ def test_task_without_samples_exit_5(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: ") == 2 and "classifier" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, code", [
+    ("features", EXIT_OK), ("encode", EXIT_OK), ("pipeline", EXIT_OK),
+    ("train", EXIT_RUNTIME), ("eval", EXIT_RUNTIME),
+    ("mine", EXIT_BAD_CONFIG), ("mine --target", EXIT_BAD_CONFIG), ("rank", EXIT_BAD_CONFIG),
+])
+def test_empty_corpus_exits_cleanly(ws, tmp_path, command, code):
+    # a manifest with no sample: the writers write a header-only file (the
+    # verdict file has no header), the stages that need samples stop with
+    # an error line, and none ends in a traceback
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"samples": []}))
+    corpus, ranked = ["--corpus", str(manifest)], ["--ranked", str(ws["ranked"])]
+    models = [x for role in ("detector", "classifier", "sbd") for x in (f"--{role}", str(ws[role]))]
+    argv = {
+        "features": ["features", *corpus],
+        "encode": ["encode", *corpus, *ranked],
+        "pipeline": ["pipeline", *models, *ranked, *corpus],
+        "train": ["train", *corpus, "--task", "detector"],
+        "eval": ["eval", "--model", str(ws["detector"]), *corpus],
+        "mine": ["mine", *corpus],
+        "mine --target": ["mine", *corpus, "--target", "FamilyA"],
+        "rank": ["rank", *corpus, "--patterns", *map(str, ws["patterns"])],
+    }[command]
+    out = tmp_path / "out"
+    got, err = _run([*argv, "--out", str(out)])
+    assert got == code and "Traceback" not in err
+    if code == EXIT_OK:
+        assert len(out.read_text().splitlines()) == (command != "pipeline")
+    else:
+        assert err.startswith("error: ") and not out.exists()
 
 
 def _run(argv) -> tuple[int, str]:

@@ -2,6 +2,7 @@
 two-stage classification pipeline."""
 
 import functools
+import inspect
 import json
 import operator
 import subprocess
@@ -33,7 +34,7 @@ from cfgsentinel.fhmc import (
     write_ranked,
     write_verdicts,
 )
-from cfgsentinel import experiment, fhmc, isomorphism
+from cfgsentinel import corpus, experiment, fhmc, isomorphism, nn
 from cfgsentinel.graph import GraphError, LabeledSample, SampleClass
 from cfgsentinel.isomorphism import is_subgraph
 from cfgsentinel.mining import (MiningError, Pattern, canonical_dfs_code, gspan_mine,
@@ -280,6 +281,19 @@ def test_mine_family_candidates_defaults_to_the_schema_support():
     assert fhmc.DEFAULT_MINING_FRACTION == schema
     # at a low fraction the odd sample's patterns are kept, so the case can tell
     assert mine() != mine(support_fraction=0.05)
+    # every library default of a schema key is the schema's
+    library = {
+        corpus.split: "split", nn.train: "train", nn.Adam: "train", train_sbd: "train",
+        mine_family_candidates: "mining", rank_patterns: "rank",
+        encode: "encode", encode_many: "encode", classify_pipeline: "encode",
+    }
+    for fn, sec in library.items():
+        params = inspect.signature(fn).parameters
+        keys = [key for key in experiment.DEFAULTS[sec] if key in params]
+        assert keys, fn
+        for key in keys:
+            assert params[key].default == experiment.DEFAULTS[sec][key], (fn, key)
+    assert inspect.signature(support_floor).parameters["fraction"].default is inspect.Parameter.empty
 
 
 def _rank_case(seed):
