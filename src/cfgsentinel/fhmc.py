@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +23,7 @@ import numpy as np
 
 from .features import extract_features
 from .graph import Cfg, FAMILIES, LabeledSample, SampleClass, indented_json, read_json
-from .isomorphism import is_subgraph
+from .isomorphism import SearchTimeout, deadline, is_subgraph
 from .mining import Code, Pattern, gspan_mine, pattern_entry, pattern_from_entry
 from .nn import DEFAULT_BATCH_SIZE, DEFAULT_EPOCHS, Model, train
 
@@ -247,15 +246,18 @@ def encode(
     budget_seconds: float = DEFAULT_ENCODE_BUDGET,
 ) -> np.ndarray:
     """Bit vector over the pattern list: bit i is 1 when pattern i is a
-    subgraph of `g`.  Raises EncodingTimeout past the time budget."""
+    subgraph of `g`.  Raises EncodingTimeout once matching has run for
+    `budget_seconds`, checked inside each pattern's search as well."""
     if isinstance(patterns, RankedPatternSet):
         patterns = patterns.graphs
-    t0 = time.monotonic()
     bits = np.zeros(len(patterns), dtype=np.uint8)
-    for i, p in enumerate(patterns):
-        if time.monotonic() - t0 > budget_seconds:
-            raise EncodingTimeout(f"encoding exceeded {budget_seconds:.0f}s at pattern {i}")
-        bits[i] = 1 if is_subgraph(p, g) else 0
+    i = 0
+    try:
+        with deadline(budget_seconds):
+            for i, p in enumerate(patterns):
+                bits[i] = is_subgraph(p, g)
+    except SearchTimeout:
+        raise EncodingTimeout(f"encoding exceeded {budget_seconds:g}s at pattern {i}") from None
     return bits
 
 

@@ -1,21 +1,58 @@
 """Directed subgraph isomorphism (non-induced monomorphism) with node labels.
 
-VF2-style backtracking: pattern nodes are matched in a connectivity-aware
-order, candidates are drawn from the host neighborhoods of already-mapped
-nodes, and look-ahead degree/label checks prune the search.  A mapping m
-is a match when it is injective, label-preserving, and every pattern edge
-(u, v) has (m(u), m(v)) in the host.  Host edges outside the image are not
-constrained.
+A mapping m is a match when it is injective, label-preserving, and every
+pattern edge (u, v) has (m(u), m(v)) in the host.  Host edges outside the
+image are not constrained.
+
+The search works on the host's int bitsets (`GraphView.masks`), in the
+manner of Ullmann's candidate refinement.  Each pattern position first gets
+a static candidate set: the host nodes with its label, its self-loop and,
+per neighbour label, at least as many successors and predecessors with that
+label as the pattern node has (the neighbour-label-frequency filter).  A
+position's candidates during the search are its static set minus the used
+host nodes, intersected with the successor or predecessor sets of its
+already-mapped pattern neighbours.  Candidates are taken lowest position
+first; the results do not depend on that order.
 
 Each pattern is compiled once into a match plan, kept on its graph view
 (`Cfg.view.plan`) and reused against every host.
+
+A search can be bounded in time: inside `deadline(seconds)`, every match
+checks the clock on entry and every 1,024 search steps, and raises
+`SearchTimeout` once the time is up.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import time
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, NamedTuple
 
 from .graph import Cfg, GraphView
+
+
+class SearchTimeout(RuntimeError):
+    """Raised when a match runs past the deadline set by `deadline`."""
+
+
+# The monotonic time at which matching stops, or None for no limit.
+_DEADLINE: ContextVar[float | None] = ContextVar("isomorphism_deadline", default=None)
+
+# Search steps between two clock checks.
+_CHUNK = range(1024)
+
+
+@contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Make every match inside the block raise SearchTimeout once
+    `seconds` have passed from entry."""
+    token = _DEADLINE.set(time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
 
 
 def _pattern_order(p: GraphView) -> list[int]:
@@ -45,10 +82,8 @@ class _Step(NamedTuple):
     """One position of a match plan.  Neighbour references are positions
     in the plan, all earlier than this one."""
 
-    label: int
-    outdeg: int
-    indeg: int
-    loop: bool                 # the pattern node has a self-loop
+    needs: tuple[tuple[int, int, int], ...]  # `Masks.need` keys, label first
+    loop: bool                  # the pattern node has a self-loop
     prior_out: tuple[int, ...]  # mapped q with edge n -> q
     prior_in: tuple[int, ...]   # mapped q with edge q -> n
 
@@ -56,11 +91,14 @@ class _Step(NamedTuple):
 def _compile(p: GraphView) -> tuple[_Step, ...]:
     order = _pattern_order(p)
     pos = {n: k for k, n in enumerate(order)}
+    labels = p.labels
     return tuple(
         _Step(
-            label=p.labels[n],
-            outdeg=p.outdeg[n],
-            indeg=p.indeg[n],
+            needs=((2, labels[n], 1),) + tuple(
+                (d, lab, count)
+                for d, nbrs in enumerate((p.succ[n], p.pred[n]))
+                for lab, count in Counter(labels[w] for w in nbrs).items()
+            ),
             loop=n in p.succ[n],
             prior_out=tuple(pos[q] for q in p.succ[n] if pos[q] < k),
             prior_in=tuple(pos[q] for q in p.pred[n] if pos[q] < k),
@@ -72,65 +110,73 @@ def _compile(p: GraphView) -> tuple[_Step, ...]:
 def _match(pattern: Cfg, host: Cfg, limit: int) -> int:
     """Count label- and edge-preserving injective mappings, stopping early
     once `limit` is reached (limit=1 gives a containment test)."""
+    stop = _DEADLINE.get()
+    if stop is not None and time.monotonic() > stop:
+        raise SearchTimeout("match deadline passed")
     p = pattern.view
     h = host.view
     if len(p.ids) > len(h.ids):
         return 0
-    # necessary condition: enough host nodes of every pattern label
-    for lab, cnt in p.label_counts.items():
-        if h.label_counts.get(lab, 0) < cnt:
-            return 0
-
-    if p.plan is None:
-        p.plan = _compile(p)
     plan = p.plan
-    size = len(plan)
-    edges = h.edges
-    labels, outdeg, indeg = h.labels, h.outdeg, h.indeg
-    succ, pred, by_label = h.succ, h.pred, h.by_label
-    mapping = [0] * size  # host position of each plan position
-    used: set[int] = set()
+    if plan is None:
+        plan = p.plan = _compile(p)
+    succ, pred, loops, need = h.masks
+
+    static = []
+    try:
+        for needs, loop, _, _ in plan:
+            cands = loops if loop else -1
+            for key in needs:
+                cands &= need[key]
+            if not cands:
+                return 0
+            static.append(cands)
+    except KeyError:  # no host node meets one of the needs
+        return 0
+    last = len(plan) - 1
+    if not last:
+        return min(static[0].bit_count(), limit)
+
+    # Iterative depth-first search.  rest[k]: the candidates of position k
+    # not tried yet; mapped[k]: the host position it holds.  The last
+    # position's candidates are counted, not visited.
+    rest = [0] * last
+    mapped = [0] * last
+    rest[0] = static[0]
+    used = 0
     found = 0
-
-    def backtrack(k: int) -> bool:
-        nonlocal found
-        if k == size:
-            found += 1
-            return found >= limit
-        label, odeg, ideg, loop, prior_out, prior_in = plan[k]
-        # derive candidates from a mapped neighbor's host adjacency when
-        # available, otherwise from the host nodes carrying the label
-        if prior_out:
-            cands = pred[mapping[prior_out[0]]]
-        elif prior_in:
-            cands = succ[mapping[prior_in[0]]]
-        else:
-            cands = by_label[label]
-        for cand in cands:
-            if (cand in used or labels[cand] != label
-                    or outdeg[cand] < odeg or indeg[cand] < ideg
-                    or (loop and (cand, cand) not in edges)):
+    k = 0
+    while True:
+        for _ in _CHUNK:
+            cands = rest[k]
+            if not cands:
+                if not k:
+                    return found
+                k -= 1
+                used ^= 1 << mapped[k]
                 continue
-            # every pattern edge to an earlier position needs its host edge;
-            # the innermost else runs only when no check broke out
+            low = cands & -cands
+            rest[k] = cands ^ low
+            mapped[k] = low.bit_length() - 1
+            used |= low
+            nxt = k + 1
+            cands = static[nxt] & ~used
+            _, _, prior_out, prior_in = plan[nxt]
             for q in prior_out:
-                if (cand, mapping[q]) not in edges:
-                    break
-            else:
-                for q in prior_in:
-                    if (mapping[q], cand) not in edges:
-                        break
-                else:
-                    mapping[k] = cand
-                    used.add(cand)
-                    done = backtrack(k + 1)
-                    used.discard(cand)
-                    if done:
-                        return True
-        return False
-
-    backtrack(0)
-    return found
+                cands &= pred[mapped[q]]
+            for q in prior_in:
+                cands &= succ[mapped[q]]
+            if cands:
+                if nxt < last:
+                    rest[nxt] = cands
+                    k = nxt
+                    continue
+                found += cands.bit_count()
+                if found >= limit:
+                    return limit
+            used ^= low
+        if stop is not None and time.monotonic() > stop:
+            raise SearchTimeout("match deadline passed")
 
 
 def is_subgraph(pattern: Cfg, host: Cfg) -> bool:

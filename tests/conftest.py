@@ -91,6 +91,17 @@ def cycle_graph(n=3, label=0) -> Cfg:
     )
 
 
+def transitive_dag(n: int, label=0) -> Cfg:
+    """Arcs i -> j for every i < j: no cycle embeds, and a search for one
+    grows exponentially with n."""
+    return Cfg(
+        nodes=tuple((i, label) for i in range(n)),
+        edges=frozenset((i, j) for i in range(n) for j in range(i + 1, n)),
+        entry=0,
+        exits=frozenset({n - 1}),
+    )
+
+
 def star_graph(k=3) -> Cfg:
     """Center 0 pointing at k leaves, and each leaf pointing back."""
     nodes = tuple((i, 0) for i in range(k + 1))

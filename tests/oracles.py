@@ -14,6 +14,7 @@ from collections import deque
 import numpy as np
 
 from cfgsentinel.graph import Cfg
+from cfgsentinel.isomorphism import _pattern_order
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,94 @@ def exhaustive_monomorphisms(pattern: Cfg, host: Cfg, limit: int | None = None):
                 del mapping[u]
 
     extend(0, {})
+    return found
+
+
+def _vf2_compile(p):
+    """Per plan position: label, degrees, self-loop flag and the earlier
+    positions it has arcs to / from."""
+    order = _pattern_order(p)
+    pos = {n: k for k, n in enumerate(order)}
+    return tuple(
+        (
+            p.labels[n],
+            p.outdeg[n],
+            p.indeg[n],
+            n in p.succ[n],
+            tuple(pos[q] for q in p.succ[n] if pos[q] < k),
+            tuple(pos[q] for q in p.pred[n] if pos[q] < k),
+        )
+        for k, n in enumerate(order)
+    )
+
+
+def vf2_match(pattern: Cfg, host: Cfg, limit: int) -> int:
+    """The VF2-style matcher the bitset search replaced, kept as a
+    reference: a recursive backtrack over sets and tuples that draws
+    candidates from a mapped neighbour's host adjacency, or from the host
+    nodes carrying the label, in node-id / document order.  Counts mappings
+    up to `limit`.  It reads only the view's plain fields, and compiles its
+    plan per call in the library's match order (any order gives the same
+    count)."""
+    p = pattern.view
+    h = host.view
+    if len(p.ids) > len(h.ids):
+        return 0
+    by_label: dict[int, list[int]] = {}
+    for k, lab in enumerate(h.labels):
+        by_label.setdefault(lab, []).append(k)
+    # necessary condition: enough host nodes of every pattern label
+    for lab in set(p.labels):
+        if len(by_label.get(lab, ())) < p.labels.count(lab):
+            return 0
+
+    plan = _vf2_compile(p)
+    size = len(plan)
+    edges = h.edges
+    labels, outdeg, indeg = h.labels, h.outdeg, h.indeg
+    succ, pred = h.succ, h.pred
+    mapping = [0] * size  # host position of each plan position
+    used: set[int] = set()
+    found = 0
+
+    def backtrack(k: int) -> bool:
+        nonlocal found
+        if k == size:
+            found += 1
+            return found >= limit
+        label, odeg, ideg, loop, prior_out, prior_in = plan[k]
+        # derive candidates from a mapped neighbor's host adjacency when
+        # available, otherwise from the host nodes carrying the label
+        if prior_out:
+            cands = pred[mapping[prior_out[0]]]
+        elif prior_in:
+            cands = succ[mapping[prior_in[0]]]
+        else:
+            cands = by_label.get(label, ())
+        for cand in cands:
+            if (cand in used or labels[cand] != label
+                    or outdeg[cand] < odeg or indeg[cand] < ideg
+                    or (loop and (cand, cand) not in edges)):
+                continue
+            # every pattern edge to an earlier position needs its host edge;
+            # the innermost else runs only when no check broke out
+            for q in prior_out:
+                if (cand, mapping[q]) not in edges:
+                    break
+            else:
+                for q in prior_in:
+                    if (mapping[q], cand) not in edges:
+                        break
+                else:
+                    mapping[k] = cand
+                    used.add(cand)
+                    done = backtrack(k + 1)
+                    used.discard(cand)
+                    if done:
+                        return True
+        return False
+
+    backtrack(0)
     return found
 
 

@@ -28,9 +28,9 @@ from cfgsentinel.cli import (
     parse_args,
 )
 from cfgsentinel.features import FEATURE_COUNT
-from cfgsentinel.graph import GraphError, SampleClass, read_corpus
+from cfgsentinel.graph import GraphError, LabeledSample, SampleClass, read_corpus, write_corpus
 
-from conftest import TINY_INI, subprocess_env
+from conftest import TINY_INI, cycle_graph, subprocess_env, transitive_dag
 from fuzz import FUZZ, documents
 from test_fhmc import GOOD_RANKED_DOC, MALFORMED_RANKED_FILES
 from test_graph import (
@@ -593,6 +593,26 @@ def test_empty_corpus_exits_cleanly(ws, tmp_path, command, code):
         assert len(out.read_text().splitlines()) == (command != "pipeline")
     else:
         assert err.startswith("error: ") and not out.exists()
+
+
+def test_encode_budget_exit_5(tmp_path):
+    # the budget holds inside one pattern's search: a one-label 10-cycle
+    # against a 24-node transitive DAG would search for about a second
+    manifest = write_corpus([LabeledSample(id="dag", cls=SampleClass.BENIGN, cfg=transitive_dag(24))],
+                            tmp_path / "corpus")
+    cycle = mining.Pattern(code=mining.canonical_dfs_code(cycle_graph(10)), support={"FamilyA": 1})
+    ranked = tmp_path / "ranked.json"
+    fhmc.write_ranked(fhmc.RankedPatternSet(per_family={"FamilyA": [fhmc.RankedPattern(
+        pattern=cycle, family="FamilyA", family_frequency=1, coverage=0.0,
+        benign_occurrences=0, rank_score=0.0)]}), ranked)
+    ini = tmp_path / "config.ini"
+    ini.write_text("[encode]\nbudget_seconds = 0.05\n")
+    out = tmp_path / "encodings.csv"
+    code, err = _run(["encode", "--config", str(ini), "--corpus", str(manifest),
+                      "--ranked", str(ranked), "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: ") and "0.05s" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _run(argv) -> tuple[int, str]:

@@ -8,6 +8,7 @@ import operator
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from cfgsentinel.mining import (MiningError, Pattern, canonical_dfs_code, gspan_
                                 read_patterns, write_patterns)
 
 import oracles
-from conftest import path_graph, random_cfg, subprocess_env
+from conftest import cycle_graph, path_graph, random_cfg, subprocess_env, transitive_dag
 from fuzz import FUZZ, documents
 
 
@@ -394,6 +395,15 @@ def test_encode_timeout_and_empty_pattern_list():
     with pytest.raises(EncodingTimeout):
         encode(g, [chain([1, 1])] * 3, budget_seconds=-1.0)
     assert encode(g, [], budget_seconds=-1.0).shape == (0,)
+
+
+def test_encode_budget_holds_inside_one_pattern():
+    # a one-label 10-cycle never embeds in a transitive DAG; unbounded, this
+    # one search runs for about a second
+    t0 = time.monotonic()
+    with pytest.raises(EncodingTimeout, match="at pattern 1"):
+        encode(transitive_dag(24), [chain([0, 0]), cycle_graph(10)], budget_seconds=0.05)
+    assert time.monotonic() - t0 < 0.05 + 0.5
 
 
 def test_encode_many_stacks_rows(rng):

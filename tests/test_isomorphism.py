@@ -1,11 +1,14 @@
 import gc
+import time
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfgsentinel.graph import Cfg
-from cfgsentinel.isomorphism import _compile, is_subgraph, match_count
-from conftest import path_graph, random_cfg, tiny_cfg
+from cfgsentinel.isomorphism import SearchTimeout, _compile, deadline, is_subgraph, match_count
+from conftest import cycle_graph, path_graph, random_cfg, relabeled, tiny_cfg, transitive_dag
 import oracles
 
 
@@ -175,3 +178,86 @@ class TestCompiledPlan:
         del p, h
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+
+def seeded_graph(rng, n_lo, n_hi, n_labels, p):
+    """A random graph with 1 to n_labels labels and self-loops, not
+    necessarily connected, with sparse ids in a shuffled document order."""
+    n = int(rng.integers(n_lo, n_hi + 1))
+    nodes = tuple((i, int(rng.integers(0, n_labels))) for i in range(n))
+    edges = frozenset((u, v) for u in range(n) for v in range(n) if rng.random() < p / n)
+    g = Cfg(nodes=nodes, edges=edges, entry=0, exits=frozenset({n - 1}))
+    return relabeled(g, rng, shuffle=True)
+
+
+def induced_piece(rng, host, size):
+    """The subgraph of `host` on `size` random nodes, with some arcs dropped
+    (so it is contained in the host), or with one label changed."""
+    ids = [int(i) for i in rng.choice(host.node_ids, size=min(size, host.node_count), replace=False)]
+    keep = set(ids)
+    labels = host.labels
+    nodes = tuple((i, labels[i]) for i in ids)
+    if rng.random() < 0.3:
+        nodes = ((ids[0], labels[ids[0]] + 1),) + nodes[1:]
+    edges = frozenset(e for e in host.edges if e[0] in keep and e[1] in keep and rng.random() < 0.8)
+    return Cfg(nodes=nodes, edges=edges, entry=ids[0], exits=frozenset({ids[-1]}))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestBitsetSearchAgainstReferences:
+    """The bitset search against the VF2 matcher it replaced and against
+    exhaustive enumeration: limits 1, 2 and unbounded on small hosts, and
+    1, 2 and 200 on hosts past 64 nodes, where an unbounded count of a
+    sparse pattern runs into the millions."""
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(SEEDS)
+    def test_small_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n_labels = int(rng.integers(1, 4))
+        p = seeded_graph(rng, 1, 5, n_labels, p=float(rng.choice([0.5, 1.5, 3.0])))
+        h = seeded_graph(rng, 1, 9, n_labels, p=float(rng.choice([1.0, 2.5, 5.0])))
+        want = len(oracles.exhaustive_monomorphisms(p, h))
+        assert is_subgraph(p, h) == (want > 0)
+        assert match_count(p, h) == want == oracles.vf2_match(p, h, 1_000_000)
+        for limit in (1, 2):
+            assert match_count(p, h, limit=limit) == min(want, limit) \
+                == oracles.vf2_match(p, h, limit)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(SEEDS)
+    def test_hosts_past_64_nodes(self, seed):
+        # masks of 65 to 100 positions span several int digits; the
+        # patterns are pieces of the host, so most of them are found
+        rng = np.random.default_rng(seed)
+        n_labels = int(rng.integers(1, 4))
+        h = seeded_graph(rng, 65, 100, n_labels, p=float(rng.choice([2.0, 4.0])))
+        for size in (2, 4, 6):
+            p = induced_piece(rng, h, size)
+            for limit in (1, 2, 200):
+                want = oracles.vf2_match(p, h, limit)
+                assert match_count(p, h, limit=limit) == want
+            assert is_subgraph(p, h) == (want > 0)
+        p = induced_piece(rng, h, 3)
+        want = len(oracles.exhaustive_monomorphisms(p, h, limit=50))
+        assert match_count(p, h, limit=50) == want
+
+
+class TestDeadline:
+    def test_expired_deadline_stops_every_match(self):
+        p, h = path_graph((0, 0)), path_graph((0, 0, 0))
+        with deadline(-1.0):
+            with pytest.raises(SearchTimeout):
+                is_subgraph(p, h)
+        assert is_subgraph(p, h)
+
+    def test_deadline_holds_inside_one_search(self):
+        # a cycle never embeds in a DAG, so the search is exhaustive: about
+        # a second unbounded at 24 nodes
+        t0 = time.monotonic()
+        with deadline(0.05), pytest.raises(SearchTimeout):
+            match_count(cycle_graph(10), transitive_dag(24))
+        assert time.monotonic() - t0 < 0.55
+        assert match_count(cycle_graph(4), transitive_dag(8)) == 0
