@@ -233,17 +233,14 @@ def sgea_attack(
     victim: Cfg,
     candidates: Sequence[Pattern],
     target_class: str,
-    mode: str = "targeted",
     *,
     original: Optional[str] = None,
 ) -> SgeaResult:
     """Try candidate patterns in ascending node-count order; the first merge
-    the model (targeted) classifies as the target class wins.  On failure
-    the original graph is returned unchanged.  At most len(candidates)
-    model queries are issued, plus one for the victim itself unless the
-    caller passes its prediction as `original`."""
-    if mode not in ("targeted", "nontargeted"):
-        raise AttackError(f"unknown mode: {mode!r}")
+    the model classifies as the target class wins.  On failure the original
+    graph is returned unchanged.  At most len(candidates) model queries are
+    issued, plus one for the victim itself unless the caller passes its
+    prediction as `original`."""
     orig = predict_class(model, victim) if original is None else original
     ordered = sorted(candidates, key=lambda p: (p.node_count, p.code))
     attempts = 0
@@ -251,8 +248,7 @@ def sgea_attack(
         adv_cfg = gea_merge(victim, pat.graph)
         adv = predict_class(model, adv_cfg)
         attempts += 1
-        hit = adv == target_class if mode == "targeted" else adv != orig
-        if hit:
+        if adv == target_class:
             return SgeaResult(adv_cfg, True, attempts, pat.node_count, orig, adv)
     return SgeaResult(victim, False, attempts, 0, orig, orig)
 

@@ -72,6 +72,10 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
         raise corpus.CorpusError(f"bad value for [train] arch: {train['arch']!r}")
     if train["epochs"] < 1 or train["batch_size"] < 1:
         raise corpus.CorpusError("[train] epochs and batch_size must be >= 1")
+    a = out["attack"]
+    if a["sgea_per_size"] < 1 or not 1 <= a["sgea_min_nodes"] <= a["sgea_max_nodes"]:
+        raise corpus.CorpusError("[attack] needs sgea_per_size >= 1 and "
+                                 "1 <= sgea_min_nodes <= sgea_max_nodes")
     return out
 
 
@@ -225,23 +229,18 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     # evaders, so the attacks always target Benign.
     target = SampleClass.BENIGN.value
 
-    # Candidate pool: benign-discriminative patterns, then the best
-    # `sgea_per_size` per node count so the ascending attack loop always has
-    # larger fallbacks for victims the small patterns cannot flip.
-    sgea_pool = mining.select_discriminative(
+    # Candidate pool: the best `sgea_per_size` benign-discriminative patterns
+    # of each node count, so the ascending attack loop always has larger
+    # fallbacks for victims the small patterns cannot flip.
+    sgea_candidates = mining.select_discriminative(
         train_s,
         SampleClass.BENIGN,
         min_support=fhmc.support_floor(len(benign_train), attack["sgea_support_fraction"]),
         min_nodes=attack["sgea_min_nodes"],
         max_nodes=attack["sgea_max_nodes"],
-        top_k=None,
+        top_k=attack["sgea_per_size"],
+        per_size=True,
     )
-    by_size: dict[int, list] = {}
-    for p in sgea_pool:
-        by_size.setdefault(p.node_count, []).append(p)
-    sgea_candidates = [
-        p for size in sorted(by_size) for p in by_size[size][:attack["sgea_per_size"]]
-    ]
     mining.write_patterns(sgea_candidates, patterns_dir / "sgea_candidates.json")
 
     attacks_dir = out / "attacks"

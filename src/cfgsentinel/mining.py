@@ -10,16 +10,16 @@ extension plus a minimum-DFS-code check enumerates each isomorphism class
 exactly once.
 
 Discriminative selection scores patterns with the correspondence-based CORK
-quality q = -(|pos_hit|*|neg_hit| + |pos_miss|*|neg_miss|) and prunes the
-search with a submodular-style upper bound that provably preserves the
-exact top-k result set.
+quality q = -(|pos_hit|*|neg_hit| + |pos_miss|*|neg_miss|).  A top-k cut
+(overall or per node count) prunes a code, on ties in quality too, once each
+cut it could feed holds k keys that sort before any key of its subtree.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -410,7 +410,7 @@ class _Miner:
         if self.prune is not None and self.prune(code, gid_sets):
             return
         n = _vertex_count(code)
-        if n >= self.min_nodes:
+        if self.min_nodes <= n <= self.max_nodes:  # not a 2-node seed arc at max_nodes 1
             self.report(code, gid_sets)
         exts = _extensions(self.views, code, recs, n < self.max_nodes)
         for e in sorted(exts, key=_entry_key):
@@ -482,11 +482,13 @@ def select_discriminative(
     min_nodes: int,
     max_nodes: int,
     top_k: int | None = None,
+    per_size: bool = False,
 ) -> list[Pattern]:
     """Mine patterns frequent in the target class and rank them by CORK
-    quality (descending), node count, then code.  With top_k set, an
-    admissible upper-bound prune cuts the search without changing the
-    returned set."""
+    quality (descending), node count, then code; with `per_size`, by node
+    count, then quality and code.  With top_k set, only the first top_k are
+    returned (of each node count, with `per_size`), and a prune that never
+    changes them cuts the search."""
     target = target_class.value if isinstance(target_class, SampleClass) else str(target_class)
     classes = [s.cls.value for s in samples]
     if target not in classes:
@@ -495,6 +497,7 @@ def select_discriminative(
     neg_total = len(classes) - pos_total
     if top_k is not None and top_k < 1:
         raise MiningError("top_k must be positive")
+    cap = top_k or math.inf
 
     def supports(gid_sets: dict[str, set[str]]) -> tuple[int, int, int, int]:
         """CORK's arguments: target and other hits, target and other totals."""
@@ -502,23 +505,25 @@ def select_discriminative(
         b = sum(len(v) for c, v in gid_sets.items() if c != target)
         return a, b, pos_total, neg_total
 
-    best: list[int] = []  # min-heap over the k best qualities seen
+    # bucket (node count with `per_size`, else 0) -> its best `cap` codes so
+    # far as ((-quality, node count, code), pattern), best first
+    kept: dict[int, list] = defaultdict(list)
 
     def prune(code: Code, gid_sets: dict[str, set[str]]) -> bool:
-        if top_k is None or len(best) < top_k:
-            return False
-        return cork_upper_bound(*supports(gid_sets)) < best[0]
-
-    collected: list[Pattern] = []
+        # `code` and its extensions score at most ub, have some s >= lo nodes
+        # and sort from `code` on: none enters a full bucket whose last key
+        # sorts before (-ub, s, code), s = lo for the one bucket of top_k
+        lo = max(_vertex_count(code), min_nodes)
+        ub = cork_upper_bound(*supports(gid_sets))
+        feeds = [(s, s) for s in range(lo, max_nodes + 1)] if per_size else [(0, lo)]
+        return all(len(kept[b]) == cap and (-ub, s, code) > kept[b][-1][0] for b, s in feeds)
 
     def on_found(code: Code, gid_sets: dict[str, set[str]]):
-        q = cork_quality(*supports(gid_sets))
-        collected.append(_make_pattern(code, gid_sets, quality=q))
-        if top_k is not None:
-            if len(best) < top_k:
-                heapq.heappush(best, q)
-            elif q > best[0]:
-                heapq.heapreplace(best, q)
+        q, n = cork_quality(*supports(gid_sets)), _vertex_count(code)
+        bucket = kept[n if per_size else 0]
+        insort(bucket, ((-q, n, code), _make_pattern(code, gid_sets, quality=q)))
+        if len(bucket) > cap:
+            bucket.pop()
 
     miner = _Miner(
         [s.cfg for s in samples],
@@ -529,9 +534,7 @@ def select_discriminative(
         max_nodes,
         counted={target},
         report=on_found,
-        prune=prune,
+        prune=None if top_k is None else prune,
     )
     miner.run()
-
-    collected.sort(key=lambda p: (-(p.quality or 0), p.node_count, p.code))
-    return collected[:top_k] if top_k is not None else collected
+    return [p for b in sorted(kept) for _, p in kept[b]]

@@ -366,6 +366,34 @@ def brute_force_mine(graphs, min_support: int, min_nodes: int, max_nodes: int):
     return {k: c for k, c in counts.items() if c >= min_support}
 
 
+def top_k_search_visits(events, k: int, per_size: bool, min_nodes: int, max_nodes: int):
+    """The codes a top-k discriminative search visits, replayed from the
+    uncapped search's events in order: ("visit", code, upper bound) when the
+    search reaches a code, ("report", code, quality) when it reports one.
+
+    A code is pruned, with everything that extends it, when each list it
+    could still enter (its node count up to max_nodes per size, else the
+    one list) holds k reported keys (-quality, node count, code), and every
+    one sorts before (-bound, that count or max(count, min_nodes), code)."""
+    kept: dict = {}
+    visited, pruned = [], []
+    for kind, code, value in events:
+        if any(code[:len(c)] == c for c in pruned):
+            continue
+        n = len({v for e in code for v in e[:2]})
+        if kind == "report":
+            key = n if per_size else None
+            kept[key] = sorted(kept.get(key, []) + [(-value, n, code)])[:k]
+            continue
+        visited.append(code)
+        lo = max(n, min_nodes)
+        lists = [(s, s) for s in range(lo, max_nodes + 1)] if per_size else [(None, lo)]
+        if all(len(kept.get(key, [])) == k and all(x < (-value, s, code) for x in kept[key])
+               for key, s in lists):
+            pruned.append(code)
+    return visited
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------

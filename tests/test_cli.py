@@ -389,6 +389,11 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
         "removed_train_seed": ("[train]\n", "[train]\nseed = 1\n"),
         "corpus_seed": ("[corpus]\n", "[corpus]\nseed = 3\n"),
         "interpolation": ("arch = dnn", "arch = dnn%"),
+        # the SGEA pool's cut and size band, refused before any training
+        "no_per_size": ("sgea_per_size = 4", "sgea_per_size = 0"),
+        "negative_per_size": ("sgea_per_size = 4", "sgea_per_size = -1"),
+        "no_sgea_min_nodes": ("sgea_min_nodes = 3", "sgea_min_nodes = 0"),
+        "inverted_sgea_band": ("sgea_max_nodes = 5", "sgea_max_nodes = 2"),
     }
     commands = {
         "train": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
@@ -422,6 +427,10 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
     pytest.param(["mine", "--target", "FamilyA", "--max-nodes", "0"], EXIT_BAD_CONFIG,
                  id="max_nodes_0"),
     pytest.param(["rank", "--k", "0"], EXIT_BAD_CONFIG, id="k_0"),
+    pytest.param(["mine", "--discriminative", "--target", "Benign", "--top-k", "0"],
+                 EXIT_BAD_CONFIG, id="top_k_0"),
+    pytest.param(["mine", "--discriminative", "--target", "Benign", "--top-k", "-1"],
+                 EXIT_BAD_CONFIG, id="top_k_negative"),
     # flags `mine` would otherwise ignore
     pytest.param(["mine", "--discriminative", "--top-k", "3"], EXIT_USAGE,
                  id="discriminative_without_target"),

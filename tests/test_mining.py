@@ -2,11 +2,13 @@ import hashlib
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
+from cfgsentinel import mining
 from cfgsentinel.fhmc import RankingError
 from cfgsentinel.graph import Cfg, GraphError, LabeledSample, SampleClass, graph_doc
 from cfgsentinel.mining import (
@@ -140,6 +142,16 @@ class TestGspanAgainstBruteForce:
         assert by_code[edge11].support == {"X": 2}
         assert by_code[edge11].supporting_ids == {"X": frozenset({"a", "b"})}
 
+    def test_max_nodes_1_mines_no_arc(self):
+        # an arc's two vertices are over the band, a self-loop's one is not
+        rng = np.random.default_rng(7100)
+        graphs = [random_cfg(rng, n_lo=2, n_hi=5, p=2.0, n_labels=2, self_loops=True)
+                  for _ in range(5)]
+        got = {oracles.iso_key(dict(p.graph.nodes), set(p.graph.edges)): p.total_support
+               for p in gspan_mine(graphs, min_support=2, min_nodes=1, max_nodes=1)}
+        assert got == oracles.brute_force_mine(graphs, 2, 1, 1)
+        assert any(p.graph.edges for p in gspan_mine(graphs, 2, 1, 1))
+
     def test_bad_params_rejected(self):
         with pytest.raises(MiningError):
             gspan_mine([path_graph()], min_support=0, min_nodes=1, max_nodes=3)
@@ -238,6 +250,67 @@ class TestSelectDiscriminative:
                                      min_support=2, min_nodes=1, max_nodes=3)
         quals = [p.quality for p in pats]
         assert quals == sorted(quals, reverse=True)
+
+
+def _cut(pool, k: int, per_size: bool):
+    """The uncapped pool cut the way `top_k` cuts it: its first k, or the
+    first k of each node count in ascending node count."""
+    if not per_size:
+        return pool[:k]
+    by_size: dict[int, list] = {}
+    for p in pool:
+        by_size.setdefault(p.node_count, []).append(p)
+    return [p for n in sorted(by_size) for p in by_size[n][:k]]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
+    # one or few labels make qualities tie, so the prune must break ties by
+    # node count and code; min_nodes 2 and 3 give codes below the band
+    rng = np.random.default_rng(seed)
+    n_labels = int(rng.integers(1, 4))
+    graphs = [random_cfg(rng, n_lo=2, n_hi=6, p=float(rng.choice([1.0, 2.0])),
+                         n_labels=n_labels, self_loops=True)
+              for _ in range(int(rng.integers(4, 8)))]
+    classes = ["Benign"] + [str(rng.choice(["Benign", "FamilyA"])) for _ in graphs[1:]]
+    samples = [LabeledSample(id=f"s{i}", cfg=c, cls=SampleClass.from_string(cls))
+               for i, (c, cls) in enumerate(zip(graphs, classes))]
+    min_nodes, max_nodes = int(rng.integers(1, 4)), 4
+    pos = classes.count("Benign")
+    events = []
+
+    def record(kind, score):
+        def hook(code, gid_sets):
+            a = len(gid_sets.get("Benign", ()))
+            events.append((kind, code, score(a, sum(map(len, gid_sets.values())) - a,
+                                             pos, len(classes) - pos)))
+        return hook
+
+    # the uncapped search, in order: its bound at each visit, its reports
+    _Miner(graphs, classes, [s.id for s in samples], 2, min_nodes, max_nodes, {"Benign"},
+           report=record("report", cork_quality), prune=record("visit", cork_upper_bound)).run()
+    pool = select_discriminative(samples, "Benign", 2, min_nodes, max_nodes)
+    visits = []
+
+    class Recording(_Miner):  # logs each code the capped search's prune is asked about
+        def __init__(self, *args, prune, **kwargs):
+            def logged(code, gid_sets):
+                visits.append(code)
+                return prune(code, gid_sets)
+            super().__init__(*args, prune=logged, **kwargs)
+
+    for k in (1, 2, 3, 5):
+        for per_size in (False, True):
+            visits.clear()
+            with mock.patch.object(mining, "_Miner", Recording):
+                got = select_discriminative(samples, "Benign", 2, min_nodes, max_nodes,
+                                            top_k=k, per_size=per_size)
+            want = _cut(pool, k, per_size)
+            assert [(p.code, p.quality, p.support) for p in got] == \
+                   [(p.code, p.quality, p.support) for p in want]
+            assert visits == oracles.top_k_search_visits(
+                events, k, per_size, min_nodes, max_nodes)
 
 
 class TestPatternIO:
