@@ -11,7 +11,7 @@ prediction flips to the target class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -145,18 +145,7 @@ class AttackReport:
             "misclassification_rate": self.misclassification_rate,
             "targeted_rate": self.targeted_rate,
             "mean_injected_nodes": self.mean_injected_nodes,
-            "records": [
-                {
-                    "sample_id": r.sample_id,
-                    "original_prediction": r.original_prediction,
-                    "adversarial_prediction": r.adversarial_prediction,
-                    "injected_nodes": r.injected_nodes,
-                    "attempts": r.attempts,
-                    "crafting_seconds": r.crafting_seconds,
-                    "pre_satisfied": r.pre_satisfied,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
         }
 
 

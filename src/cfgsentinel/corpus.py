@@ -10,6 +10,7 @@ an independent sub-seed per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence, get_type_hints
 
@@ -212,7 +213,8 @@ _PROFILE_TYPES = get_type_hints(ClassProfile)
 
 def config_from_mapping(items: Mapping[str, str]) -> CorpusConfig:
     """Build a CorpusConfig from flat string key/value pairs (e.g. an INI
-    section).  Unknown keys are rejected."""
+    section).  Unknown keys, values that do not parse and floats that are
+    not finite are rejected."""
     cfg = CorpusConfig()
     profiles = dict(cfg.profiles)
     scalar: dict[str, object] = {}
@@ -224,6 +226,8 @@ def config_from_mapping(items: Mapping[str, str]) -> CorpusConfig:
             raise CorpusError(f"unknown corpus config key: {key}")
         try:
             value = cast(value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError
         except (TypeError, ValueError):
             raise CorpusError(f"bad value for {key}: {value!r}") from None
         if key in _SCALAR_TYPES:

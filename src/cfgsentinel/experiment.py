@@ -7,6 +7,7 @@ for byte (crafting-time fields are omitted in this mode).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -49,7 +50,7 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
     """Every schema value: `sections` (INI strings, or values already of the
     default's type) over `DEFAULTS`, plus the raw `[corpus]` items.  Raises
     CorpusError on an unknown section or key (`[corpus] seed` included) or
-    a value that does not parse."""
+    a value that does not parse or a float that is not finite."""
     unknown = sorted(set(sections) - set(DEFAULTS) - {"corpus"})
     if unknown:
         raise corpus.CorpusError(f"unknown config section: [{unknown[0]}]")
@@ -65,6 +66,8 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
                 raise corpus.CorpusError(f"unknown config key: [{sec}] {key}")
             try:
                 values[key] = type(defaults[key])(raw)
+                if isinstance(values[key], float) and not math.isfinite(values[key]):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise corpus.CorpusError(f"bad value for [{sec}] {key}: {raw!r}") from None
     train = out["train"]
@@ -115,8 +118,8 @@ def make_corpus(cfg: Sections, seed: int, corpus_dir: Path, splits_path: Path):
     `[split]` train/test split into `splits_path`, both as settled by
     `settings`; returns (samples, train, test)."""
     samples = corpus.generate(corpus.config_from_mapping(dict(cfg["corpus"], seed=str(seed))))
-    write_corpus(samples, corpus_dir)
     train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], seed)
+    write_corpus(samples, corpus_dir)
     write_json(splits_path, {"train": [s.id for s in train_s], "test": [s.id for s in test_s]})
     return samples, train_s, test_s
 
@@ -167,7 +170,6 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     by `settings`); returns the in-memory results."""
     cfg = settings(sections or {})
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     # -- corpus and features -------------------------------------------------
     samples, train_s, test_s = make_corpus(cfg, seed, out / "corpus", out / "splits.json")

@@ -46,6 +46,8 @@ class Cfg:
     nodes: tuple of (node_id, label) pairs in document order.
     edges: frozenset of (src, dst) pairs.
     entry: entry node id.  exits: non-empty frozenset of exit node ids.
+    Ids and labels follow `is_count` and are never cast: anything else
+    raises GraphError, as in a graph document.
     """
 
     nodes: tuple[tuple[int, int], ...]
@@ -54,10 +56,12 @@ class Cfg:
     exits: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple((int(i), int(l)) for i, l in self.nodes))
-        object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "exits", frozenset(int(x) for x in self.exits))
-        object.__setattr__(self, "entry", int(self.entry))
+        try:
+            object.__setattr__(self, "nodes", tuple(self.nodes))
+            object.__setattr__(self, "edges", frozenset(self.edges))
+            object.__setattr__(self, "exits", frozenset(self.exits))
+        except TypeError as e:
+            raise GraphError(f"malformed graph: {e}") from None
         _validate(self)
 
     # Structural equality: node order in a document is preserved for
@@ -198,20 +202,27 @@ def flow_graph(nodes: Sequence[tuple[int, int]], arcs: Iterable[tuple[int, int]]
                exits=exits or frozenset({nodes[-1][0]}))
 
 
+def is_count(v) -> bool:
+    """The one integer rule for ids, labels and counts: a non-negative int,
+    never a float, string, bool or numpy integer."""
+    return type(v) is int and v >= 0
+
+
 def _validate(g: Cfg) -> None:
     if not g.nodes:
         raise GraphError("graph has no nodes")
-    ids = [i for i, _ in g.nodes]
+    pairs = (*g.nodes, *g.edges)
+    if {type(p) for p in pairs} != {tuple} or {len(p) for p in pairs} != {2}:
+        raise GraphError("nodes and edges must be pairs")
+    ints = [g.entry, *g.exits, *(v for p in pairs for v in p)]
+    if {type(v) for v in ints} != {int} or min(ints) < 0:  # `is_count`, all at once
+        bad = next(v for v in ints if not is_count(v))
+        raise GraphError(f"ids, labels, entry and exits are non-negative integers, not {bad!r}")
     seen = set()
-    for i in ids:
-        if i < 0:
-            raise GraphError(f"negative node id: {i}")
+    for i, _ in g.nodes:
         if i in seen:
             raise GraphError(f"duplicate node id: {i}")
         seen.add(i)
-    for _, lab in g.nodes:
-        if lab < 0:
-            raise GraphError(f"negative node label: {lab}")
     for u, v in g.edges:
         if u not in seen or v not in seen:
             raise GraphError(f"edge ({u}, {v}) references unknown node")
@@ -281,19 +292,6 @@ def _indented(o, nl: str) -> str:
     return json.dumps(o)  # bool, None, NaN, ±inf, subclasses; TypeError for the rest
 
 
-def _json_int(v) -> int:
-    """A JSON integer as is; floats, strings and bools are refused, not cast."""
-    if type(v) is not int:
-        raise GraphError(f"malformed graph document: expected an integer, got {type(v).__name__}")
-    return v
-
-
-def _json_edge(e) -> tuple[int, int]:
-    if type(e) is not list or len(e) != 2:
-        raise GraphError("malformed graph document: an edge must be a pair of node ids")
-    return _json_int(e[0]), _json_int(e[1])
-
-
 def parse_graph(text: str) -> Cfg:
     """Parse a graph JSON document into a validated Cfg."""
     doc = parse_json(text, GraphError, "malformed graph document")
@@ -306,15 +304,14 @@ def parse_graph(text: str) -> Cfg:
         if type(doc[key]) is not list:
             raise GraphError(f"graph document key {key} must be a list")
     try:
-        nodes = tuple((_json_int(n["id"]), _json_int(n["label"])) for n in doc["nodes"])
-        edges = frozenset(_json_edge(e) for e in doc["edges"])
-        exits = frozenset(_json_int(x) for x in doc["exits"])
-        entry = _json_int(doc["entry"])
+        nodes = tuple((n["id"], n["label"]) for n in doc["nodes"])
     except (TypeError, KeyError) as e:
         raise GraphError(f"malformed graph document: {e}") from None
-    if len(edges) != len(doc["edges"]):
+    edges = [tuple(e) if type(e) is list else e for e in doc["edges"]]
+    g = Cfg(nodes=nodes, edges=edges, entry=doc["entry"], exits=doc["exits"])
+    if len(g.edges) != len(edges):
         raise GraphError("duplicate edges in graph document")
-    return Cfg(nodes=nodes, edges=edges, entry=entry, exits=exits)
+    return g
 
 
 def graph_doc(g: Cfg) -> dict:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .graph import (Cfg, GraphError, GraphView, SampleClass, flow_graph, graph_doc,
-                    indented_json, read_json)
+                    indented_json, is_count, read_json)
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
@@ -284,10 +284,6 @@ def write_patterns(patterns: Sequence[Pattern], path: str | Path) -> None:
     Path(path).write_text(indented_json(doc))
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
-
-
 def pattern_from_entry(entry, where: str, counts=(), numbers=(), graph=False) -> Pattern:
     """The Pattern a pattern-file entry names.  Raises MiningError, prefixed
     with `where`, unless `dfs_code` is the canonical code of its own graph,
@@ -297,11 +293,11 @@ def pattern_from_entry(entry, where: str, counts=(), numbers=(), graph=False) ->
     if not isinstance(entry, dict) or not isinstance(entry.get("dfs_code"), str):
         raise MiningError(f"{where}: an entry is an object with a dfs_code string")
     support, quality = entry.get("support"), entry.get("quality")
-    if not isinstance(support, dict) or not all(map(_is_count, support.values())):
+    if not isinstance(support, dict) or not all(map(is_count, support.values())):
         raise MiningError(f"{where}: support must map class names to counts")
     if quality is not None and type(quality) is not int:
         raise MiningError(f"{where}: quality must be an integer or null")
-    if not all(_is_count(entry.get(k)) for k in counts) or not all(
+    if not all(is_count(entry.get(k)) for k in counts) or not all(
         type(entry.get(k)) in (int, float) and math.isfinite(entry[k]) for k in numbers
     ):
         raise MiningError(f"{where}: {', '.join(counts)} must be counts, "
@@ -313,7 +309,7 @@ def pattern_from_entry(entry, where: str, counts=(), numbers=(), graph=False) ->
         raise MiningError(f"{where}: {e}") from None
     if canonical != p.code:
         raise MiningError(f"{where}: dfs_code is not the canonical code of its graph")
-    if not _is_count(entry.get("node_count")) or entry["node_count"] != p.node_count:
+    if not is_count(entry.get("node_count")) or entry["node_count"] != p.node_count:
         raise MiningError(f"{where}: node_count must be {p.node_count}, the code's")
     if graph and (json.dumps(entry.get("graph"), sort_keys=True)
                   != json.dumps(graph_doc(p.graph), sort_keys=True)):
@@ -335,86 +331,69 @@ def read_patterns(path: str | Path) -> list[Pattern]:
 # Mining engine
 # ---------------------------------------------------------------------------
 
-class _Miner:
-    def __init__(
-        self,
-        graphs: Sequence[Cfg],
-        classes: Sequence[str],
-        sample_ids: Sequence[str],
-        min_support: int,
-        min_nodes: int,
-        max_nodes: int,
-        counted: set[str] | None,
-        report: Callable[[Code, dict[str, set[str]]], None],
-        prune: Callable[[Code, dict[str, set[str]]], bool] | None = None,
-    ):
-        if min_support < 1:
-            raise MiningError("min_support must be >= 1")
-        if not (1 <= min_nodes <= max_nodes):
-            raise MiningError("need 1 <= min_nodes <= max_nodes")
-        if not graphs:
-            raise MiningError("empty corpus")
-        self.views = [g.view for g in graphs]
-        self.classes = list(classes)
-        self.sample_ids = list(sample_ids)
-        self.min_support = min_support
-        self.min_nodes = min_nodes
-        self.max_nodes = max_nodes
-        self.counted = counted
-        self.report = report
-        self.prune = prune
+def _mine(
+    graphs: Sequence[Cfg],
+    classes: Sequence[str],
+    sample_ids: Sequence[str],
+    min_support: int,
+    min_nodes: int,
+    max_nodes: int,
+    counted: set[str],
+    report: Callable[[Code, dict[str, set[str]]], None],
+    prune: Callable[[Code, dict[str, set[str]]], bool] | None = None,
+) -> None:
+    """Visit each frequent code once in DFS-code order, asking `prune` (if
+    set) whether to cut it, then `report` it if its node count is in range.
+    Support counts the distinct ids of the `counted` classes."""
+    if min_support < 1:
+        raise MiningError("min_support must be >= 1")
+    if not (1 <= min_nodes <= max_nodes):
+        raise MiningError("need 1 <= min_nodes <= max_nodes")
+    if not graphs:
+        raise MiningError("empty corpus")
+    views = [g.view for g in graphs]
 
-    def _support(self, gid_sets: dict[str, set[str]]) -> int:
-        if self.counted is None:
-            return sum(len(v) for v in gid_sets.values())
-        return sum(len(v) for c, v in gid_sets.items() if c in self.counted)
-
-    def run(self) -> None:
-        if self.min_nodes <= 1:
-            self._single_vertices()
-        seeds: dict[Entry, list[_Rec]] = defaultdict(list)
-        for gi, view in enumerate(self.views):
-            _seed_embeddings(view, gi, seeds)
-        for e in sorted(seeds, key=_entry_key):
-            self._recurse((e,), seeds[e])
-
-    def _single_vertices(self):
-        by_label: dict[int, dict[str, set[str]]] = {}
-        for gi, view in enumerate(self.views):
-            for lab in view.labels:
-                by_label.setdefault(lab, {}).setdefault(self.classes[gi], set()).add(
-                    self.sample_ids[gi]
-                )
-        for lab in sorted(by_label):
-            gid_sets = by_label[lab]
-            if self._support(gid_sets) < self.min_support:
-                continue
-            code: Code = ((0, 0, lab, -1, lab),)
-            if self.prune is not None and self.prune(code, gid_sets):
-                continue
-            self.report(code, gid_sets)
-
-    def _recurse(self, code: Code, recs: list[_Rec]):
-        gis = {gi for gi, _, _ in recs}
-        if len(gis) < self.min_support:  # each graph adds at most one id
-            return
-        # records arrive in ascending gi order, so the class and id sets
-        # are filled in the order of their first embedding
+    def frequent(gis: set[int]) -> dict[str, set[str]] | None:
+        """Class -> ids of the graphs `gis`, filled in ascending index order,
+        or None when they miss the support floor."""
+        if len(gis) < min_support:  # each graph adds at most one id
+            return None
         gid_sets: dict[str, set[str]] = {}
         for gi in sorted(gis):
-            gid_sets.setdefault(self.classes[gi], set()).add(self.sample_ids[gi])
-        if self._support(gid_sets) < self.min_support:
-            return
-        if not _is_min(code):
-            return
-        if self.prune is not None and self.prune(code, gid_sets):
-            return
+            gid_sets.setdefault(classes[gi], set()).add(sample_ids[gi])
+        support = sum(len(v) for c, v in gid_sets.items() if c in counted)
+        return gid_sets if support >= min_support else None
+
+    if min_nodes <= 1:
+        by_label: dict[int, set[int]] = defaultdict(set)
+        for gi, view in enumerate(views):
+            for lab in view.labels:
+                by_label[lab].add(gi)
+        for lab in sorted(by_label):
+            gid_sets = frequent(by_label[lab])
+            code: Code = ((0, 0, lab, -1, lab),)
+            if gid_sets is None or prune is not None and prune(code, gid_sets):
+                continue
+            report(code, gid_sets)
+    seeds: dict[Entry, list[_Rec]] = defaultdict(list)
+    for gi, view in enumerate(views):
+        _seed_embeddings(view, gi, seeds)
+    # depth first, children pushed in reverse so they pop in DFS-code order;
+    # a stack, as a self-calling nested function is a reference cycle that
+    # keeps the views and callbacks alive until a full garbage collection
+    stack = [((e,), seeds[e]) for e in reversed(sorted(seeds, key=_entry_key))]
+    while stack:
+        code, recs = stack.pop()
+        gid_sets = frequent({gi for gi, _, _ in recs})
+        if gid_sets is None or not _is_min(code):
+            continue
+        if prune is not None and prune(code, gid_sets):
+            continue
         n = _vertex_count(code)
-        if self.min_nodes <= n <= self.max_nodes:  # not a 2-node seed arc at max_nodes 1
-            self.report(code, gid_sets)
-        exts = _extensions(self.views, code, recs, n < self.max_nodes)
-        for e in sorted(exts, key=_entry_key):
-            self._recurse(code + (e,), exts[e])
+        if min_nodes <= n <= max_nodes:  # not a 2-node seed arc at max_nodes 1
+            report(code, gid_sets)
+        exts = _extensions(views, code, recs, n < max_nodes)
+        stack += [(code + (e,), exts[e]) for e in reversed(sorted(exts, key=_entry_key))]
 
 
 def _make_pattern(
@@ -447,11 +426,8 @@ def gspan_mine(
     if len(classes) != len(graphs) or len(sample_ids) != len(graphs):
         raise MiningError("classes/sample_ids must parallel graphs")
     patterns: list[Pattern] = []
-    miner = _Miner(
-        graphs, classes, sample_ids, min_support, min_nodes, max_nodes, None,
-        report=lambda code, gid_sets: patterns.append(_make_pattern(code, gid_sets)),
-    )
-    miner.run()
+    _mine(graphs, classes, sample_ids, min_support, min_nodes, max_nodes, set(classes),
+          report=lambda code, gid_sets: patterns.append(_make_pattern(code, gid_sets)))
     patterns.sort(key=lambda p: (p.node_count, p.code))
     return patterns
 
@@ -525,16 +501,7 @@ def select_discriminative(
         if len(bucket) > cap:
             bucket.pop()
 
-    miner = _Miner(
-        [s.cfg for s in samples],
-        classes,
-        [s.id for s in samples],
-        min_support,
-        min_nodes,
-        max_nodes,
-        counted={target},
-        report=on_found,
-        prune=None if top_k is None else prune,
-    )
-    miner.run()
+    _mine([s.cfg for s in samples], classes, [s.id for s in samples], min_support,
+          min_nodes, max_nodes, {target}, report=on_found,
+          prune=None if top_k is None else prune)
     return [p for b in sorted(kept) for _, p in kept[b]]

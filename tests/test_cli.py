@@ -394,6 +394,12 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
         "negative_per_size": ("sgea_per_size = 4", "sgea_per_size = -1"),
         "no_sgea_min_nodes": ("sgea_min_nodes = 3", "sgea_min_nodes = 0"),
         "inverted_sgea_band": ("sgea_max_nodes = 5", "sgea_max_nodes = 2"),
+        # non-finite floats, refused before any work
+        "nan_mining_fraction": ("support_fraction = 0.9", "support_fraction = nan"),
+        "inf_rank_fraction": ("support_fraction = 0.2", "support_fraction = inf"),
+        "nan_budget": ("budget_seconds = 30", "budget_seconds = nan"),
+        "inf_sgea_fraction": ("sgea_support_fraction = 0.34", "sgea_support_fraction = inf"),
+        "nan_corpus_float": ("[corpus]\n", "[corpus]\nbenign_extra_edges = nan\n"),
     }
     commands = {
         "train": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
@@ -415,6 +421,16 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
             assert not out.exists()
     assert main(["train", "--config", str(tmp_path / "bad_arch.ini"), "--arch", "cnn",
                  *commands["train"], "--out", str(tmp_path / "m.ckpt")]) == EXIT_BAD_CONFIG
+    capsys.readouterr()
+
+
+def test_refused_split_writes_nothing(tmp_path, capsys):
+    ini = tmp_path / "split.ini"
+    ini.write_text(TINY_INI.replace("train_fraction = 0.75", "train_fraction = 1.5"))
+    for command in ("gen", "repro"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert not out.exists()
     capsys.readouterr()
 
 

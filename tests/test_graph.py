@@ -232,6 +232,23 @@ class TestStrictDocument:
         with pytest.raises(GraphError):
             parse_graph(json.dumps(MALFORMED_GRAPH_DOCS[defect](GOOD_GRAPH_DOC)))
 
+    @pytest.mark.parametrize("defect", sorted(MALFORMED_GRAPH_DOCS) + ["id_numpy", "node_single"])
+    def test_constructor_follows_the_document_rule(self, defect):
+        # the document's fields handed to Cfg as they are: node objects as
+        # (id, label) pairs, edge lists as tuples, anything else untouched
+        doc = MALFORMED_GRAPH_DOCS.get(defect, dict)(GOOD_GRAPH_DOC)
+        nodes = [(n["id"], n["label"]) if isinstance(n, dict) else n for n in doc["nodes"]]
+        nodes[0] = {"id_numpy": (np.int64(0), 0), "node_single": (0,)}.get(defect, nodes[0])
+        edges = [tuple(e) if isinstance(e, list) else e for e in doc["edges"]]
+        with pytest.raises(GraphError):
+            Cfg(nodes=nodes, edges=edges, entry=doc["entry"], exits=doc["exits"])
+
+    def test_constructor_casts_nothing(self):
+        with pytest.raises(GraphError):
+            Cfg(nodes=((0.9, 0), (1.7, 2.5)), edges={(0.2, 1.1)}, entry=0.5, exits={1.2})
+        g = Cfg(nodes=[(0, 0), (1, 1)], edges=[(0, 1)], entry=0, exits=[1])
+        assert g.nodes == ((0, 0), (1, 1)) and g.edges == {(0, 1)} and g.exits == {1}
+
 
 class TestSerialization:
     def test_round_trip_identity(self, rng):

@@ -14,8 +14,8 @@ from cfgsentinel.graph import Cfg, GraphError, LabeledSample, SampleClass, graph
 from cfgsentinel.mining import (
     MiningError,
     Pattern,
-    _Miner,
     _is_min,
+    _mine,
     canonical_dfs_code,
     code_to_graph,
     code_to_string,
@@ -288,22 +288,21 @@ def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
         return hook
 
     # the uncapped search, in order: its bound at each visit, its reports
-    _Miner(graphs, classes, [s.id for s in samples], 2, min_nodes, max_nodes, {"Benign"},
-           report=record("report", cork_quality), prune=record("visit", cork_upper_bound)).run()
+    _mine(graphs, classes, [s.id for s in samples], 2, min_nodes, max_nodes, {"Benign"},
+          report=record("report", cork_quality), prune=record("visit", cork_upper_bound))
     pool = select_discriminative(samples, "Benign", 2, min_nodes, max_nodes)
     visits = []
 
-    class Recording(_Miner):  # logs each code the capped search's prune is asked about
-        def __init__(self, *args, prune, **kwargs):
-            def logged(code, gid_sets):
-                visits.append(code)
-                return prune(code, gid_sets)
-            super().__init__(*args, prune=logged, **kwargs)
+    def recording(*args, prune, **kwargs):  # logs each code the capped prune is asked about
+        def logged(code, gid_sets):
+            visits.append(code)
+            return prune(code, gid_sets)
+        _mine(*args, prune=logged, **kwargs)
 
     for k in (1, 2, 3, 5):
         for per_size in (False, True):
             visits.clear()
-            with mock.patch.object(mining, "_Miner", Recording):
+            with mock.patch.object(mining, "_mine", recording):
                 got = select_discriminative(samples, "Benign", 2, min_nodes, max_nodes,
                                             top_k=k, per_size=per_size)
             want = _cut(pool, k, per_size)
@@ -502,11 +501,11 @@ def _mining_trace(seed: int) -> str:
         events.append(("visit", code, sets(gid_sets)))
         return False  # prune nothing
 
-    _Miner(
-        graphs, classes, ids, 2, 1, 5, None,
+    _mine(
+        graphs, classes, ids, 2, 1, 5, set(classes),
         report=lambda code, gid_sets: events.append(("report", code, sets(gid_sets))),
         prune=visit,
-    ).run()
+    )
     for p in gspan_mine(graphs, 2, 1, 5, classes=classes, sample_ids=ids):
         events.append(("gspan", p.code, sorted(p.support.items()),
                        sets(p.supporting_ids)))
