@@ -175,13 +175,18 @@ def generate(config: CorpusConfig) -> list[LabeledSample]:
     return samples
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """The one rule for a train fraction: strictly between 0 and 1."""
+    if not (0.0 < train_fraction < 1.0):
+        raise CorpusError("train_fraction must be in (0, 1)")
+
+
 def split(samples: Sequence[LabeledSample], train_fraction: float = DEFAULT_TRAIN_FRACTION,
           seed: int = 0) -> tuple[list[LabeledSample], list[LabeledSample]]:
     """Stratified train/test split: each class is shuffled with a seeded rng
     and cut at round(train_fraction * n), keeping at least one sample on
     each side.  Classes with fewer than two samples are rejected."""
-    if not (0.0 < train_fraction < 1.0):
-        raise CorpusError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     by_class: dict[SampleClass, list[LabeledSample]] = {}
     for s in samples:
         by_class.setdefault(s.cls, []).append(s)

@@ -50,7 +50,7 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
     """Every schema value: `sections` (INI strings, or values already of the
     default's type) over `DEFAULTS`, plus the raw `[corpus]` items.  Raises
     CorpusError on an unknown section or key (`[corpus] seed` included) or
-    a value that does not parse or a float that is not finite."""
+    a value that does not parse, is not finite or is out of its range."""
     unknown = sorted(set(sections) - set(DEFAULTS) - {"corpus"})
     if unknown:
         raise corpus.CorpusError(f"unknown config section: [{unknown[0]}]")
@@ -70,6 +70,7 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
                     raise ValueError
             except (TypeError, ValueError):
                 raise corpus.CorpusError(f"bad value for [{sec}] {key}: {raw!r}") from None
+    corpus.check_train_fraction(out["split"]["train_fraction"])
     train = out["train"]
     if train["arch"] not in nn.ARCHITECTURES:
         raise corpus.CorpusError(f"bad value for [train] arch: {train['arch']!r}")

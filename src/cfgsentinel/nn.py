@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,14 +57,15 @@ class _Layer:
 
 
 class _Weighted:
-    """A layer with Glorot weights `W` (first axis the outputs), a zero bias
-    `b`, and their gradient buffers `dW` and `db`."""
+    """A layer with Glorot weights `W` (first axis the outputs) and a zero
+    bias `b`.  Their gradients `dW` and `db` exist from the first `backward`
+    until `train` returns, so an inference-only model holds no gradients."""
+
+    dW = db = None
 
     def __init__(self, rng, shape: tuple[int, ...], fan_in: int, fan_out: int):
         self.W = _glorot(rng, shape, fan_in, fan_out)
         self.b = np.zeros(shape[0])
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
 
     @property
     def params(self):
@@ -85,8 +87,8 @@ class Dense(_Weighted):
         return y
 
     def backward(self, dout):
-        np.matmul(dout.T, self._x, out=self.dW)
-        self.db[...] = dout.sum(axis=0)
+        self.dW = np.matmul(dout.T, self._x, out=self.dW)
+        self.db = dout.sum(axis=0)
         return dout @ self.W
 
 
@@ -124,11 +126,11 @@ class Conv1D(_Weighted):
     def backward(self, dout):
         b, c_out, w_out = dout.shape
         dmat = dout.transpose(0, 2, 1)  # (B, W_out, C_out)
-        self.db[...] = dout.sum(axis=(0, 2))
-        self.dW[...] = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1])).reshape(
-            self.W.shape
-        )
-        dcols = dmat @ self.W.reshape(c_out, -1)  # (B, W_out, C_in * k)
+        self.db = dout.sum(axis=(0, 2))
+        self.dW = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1])).reshape(self.W.shape)
+        # dcols (B, W_out, C_in * k) takes over the im2col buffer: dW read it last
+        dcols = np.matmul(dmat, self.W.reshape(c_out, -1), out=self._cols)
+        self._cols = None
         c_in = self.W.shape[1]
         dxp = np.zeros((b, c_in, self._w_pad))
         for o in range(self.k):
@@ -502,6 +504,9 @@ def train(
             opt.step(model.grad_arrays())
             total += loss * len(idx)
         model.loss_history.append(total / n)
+    for layer in model.layers:
+        if isinstance(layer, _Weighted):
+            layer.dW = layer.db = None
     return model
 
 
@@ -581,7 +586,7 @@ def evaluate(model: Model, X: np.ndarray, y: np.ndarray, benign_index: Optional[
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
     """Binary checkpoint: magic, JSON header (arch, widths, classes, shapes),
-    then all weights and the scaler as little-endian float64."""
+    then all weights and the scaler as little-endian float64, array by array."""
     arrays = model.param_arrays()
     has_scaler = model.scaler_min is not None
     if has_scaler:
@@ -595,12 +600,10 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         "shapes": [list(a.shape) for a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(payload)
+        f.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 # Header key -> check of its JSON value (`type(v) is int` excludes bools).
@@ -617,18 +620,26 @@ _HEADER_FIELDS = {
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Load and validate a checkpoint: magic, header syntax, the full shape
-    chain implied by (arch, input width, class count), and payload length."""
+    """Load and validate a checkpoint.  The magic, the header, the shape chain
+    implied by (arch, input width, class count) and the file length are
+    checked before the model is built; then each array is read in place and
+    checked finite."""
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_checkpoint(f)
     except OSError as e:
         raise ModelIOError(f"unreadable checkpoint: {e}") from None
-    if raw[:8] != CHECKPOINT_MAGIC:
+
+
+def _read_checkpoint(f) -> Model:
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(12)
+    if head[:8] != CHECKPOINT_MAGIC:
         raise ModelIOError("bad checkpoint magic")
-    if len(raw) < 12:
+    hlen = int.from_bytes(head[8:], "little")  # a file under 12 bytes fails below
+    if 12 + hlen > size:
         raise ModelIOError("truncated checkpoint")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = parse_json(raw[12 : 12 + hlen], ModelIOError, "corrupt checkpoint header")
+    header = parse_json(f.read(hlen), ModelIOError, "corrupt checkpoint header")
     if not isinstance(header, dict):
         raise ModelIOError("checkpoint header is not a JSON object")
     for key, valid in _HEADER_FIELDS.items():
@@ -645,23 +656,22 @@ def load_checkpoint(path: str | Path) -> Model:
         expected += [[width], [width]]
     if header["shapes"] != expected:
         raise ModelIOError("checkpoint shapes do not match the architecture's shape chain")
-    payload = memoryview(raw)[12 + hlen :]
-    if len(payload) != 8 * sum(math.prod(shape) for shape in expected):
+    if size != 12 + hlen + 8 * sum(math.prod(shape) for shape in expected):
         raise ModelIOError("checkpoint payload length does not match its shapes")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(values)):
-        raise ModelIOError("non-finite values in checkpoint")
     try:
         model = _build_model(header["arch"], width, class_names, rng=None)
     except ValueError as e:
         raise ModelIOError(f"checkpoint header describes no model: {e}") from None
     arrays = model.param_arrays()
     if header["scaler"]:
-        model.scaler_min = np.zeros(width)
-        model.scaler_max = np.zeros(width)
-        arrays = arrays + [model.scaler_min, model.scaler_max]
-    offset = 0
+        model.scaler_min, model.scaler_max = np.empty(width), np.empty(width)
+        arrays += [model.scaler_min, model.scaler_max]
     for a in arrays:
-        a[...] = values[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
+        if f.readinto(a) != a.nbytes:
+            raise ModelIOError("truncated checkpoint payload")
+        if not np.little_endian:
+            a.byteswap(inplace=True)
+        # min and max are NaN if any element is; no full-size mask is made
+        if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+            raise ModelIOError("non-finite values in checkpoint")
     return model

@@ -400,6 +400,7 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
         "nan_budget": ("budget_seconds = 30", "budget_seconds = nan"),
         "inf_sgea_fraction": ("sgea_support_fraction = 0.34", "sgea_support_fraction = inf"),
         "nan_corpus_float": ("[corpus]\n", "[corpus]\nbenign_extra_edges = nan\n"),
+        "split_out_of_range": ("train_fraction = 0.75", "train_fraction = 1.5"),
     }
     commands = {
         "train": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),

@@ -262,6 +262,45 @@ class TestAdam:
             nn.Adam([np.zeros((4, 6))[:, ::2]])
 
 
+class TestBuffers:
+    """What a model holds, and what the layers and checkpoints allocate."""
+
+    def test_train_and_load_leave_no_gradient_buffers(self, tmp_path, rng):
+        X = rng.uniform(size=(10, 23))
+        for arch in nn.ARCHITECTURES:
+            m = nn.train(X, np.array([0, 1] * 5), ("a", "b"), arch=arch, seed=0, epochs=1)
+            nn.save_checkpoint(m, tmp_path / "m.ckpt")
+            for model in (m, nn.load_checkpoint(tmp_path / "m.ckpt")):
+                grads = model.grad_arrays()
+                assert grads and all(g is None for g in grads)
+
+    def test_conv_backward_reuses_the_im2col_buffer(self):
+        # the 4th conv of a width-180 cnn: a (32, 87, 276) im2col buffer
+        rng = np.random.default_rng(18)
+        conv = nn.Conv1D(rng, 92, 92, 3, 0)
+        conv.forward(rng.standard_normal((32, 92, 89)), True, None)
+        cols_bytes = conv._cols.nbytes
+        dout = rng.standard_normal((32, 92, 87))
+        assert _peak_traced_bytes(lambda: conv.backward(dout)) < cols_bytes
+        assert conv._cols is None
+
+    def width_180_checkpoint(self, tmp_path):
+        m = nn.build_model("cnn", 180, ("a", "b"), seed=0)
+        m.scaler_min, m.scaler_max = np.zeros(180), np.ones(180)
+        p = tmp_path / "wide.ckpt"
+        nn.save_checkpoint(m, p)
+        return m, p
+
+    def test_load_allocates_only_the_model(self, tmp_path):
+        m, p = self.width_180_checkpoint(tmp_path)
+        param_bytes = sum(a.nbytes for a in m.param_arrays() + [m.scaler_min, m.scaler_max])
+        assert _peak_traced_bytes(lambda: nn.load_checkpoint(p)) <= param_bytes + 2**20
+
+    def test_save_copies_no_payload(self, tmp_path):
+        m, p = self.width_180_checkpoint(tmp_path)
+        assert _peak_traced_bytes(lambda: nn.save_checkpoint(m, p)) < 2**20
+
+
 class TestEvaluate:
     def constant_model(self, predicted_class, names=("Benign", "Malware")):
         m = nn.build_model("dnn", 23, names, seed=0)
@@ -467,6 +506,39 @@ class TestCheckpoint:
         raw = p.read_bytes()
         p.write_bytes(raw[:-16])
         with pytest.raises(nn.ModelIOError):
+            nn.load_checkpoint(p)
+
+    @pytest.mark.parametrize("where, value", [("first", np.nan), ("last", np.inf)])
+    def test_non_finite_payload_rejected(self, tmp_path, rng, where, value):
+        X = rng.uniform(size=(10, 23))
+        m = nn.train(X, np.array([0, 1] * 5), ("a", "b"), arch="cnn", seed=0, epochs=1)
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(m, p)
+        raw = bytearray(p.read_bytes())
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        # the first conv weight, or the last element of scaler_max
+        at = 12 + hlen if where == "first" else len(raw) - 8
+        raw[at : at + 8] = struct.pack("<d", value)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(nn.ModelIOError, match="non-finite"):
+            nn.load_checkpoint(p)
+
+    def test_file_shrinking_during_load_rejected(self, tmp_path, rng, monkeypatch):
+        X = rng.uniform(size=(10, 23))
+        m = nn.train(X, np.array([0, 1] * 5), ("a", "b"), arch="dnn", seed=0, epochs=1)
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(m, p)
+        build = nn._build_model
+
+        def build_then_truncate(*args, **kwargs):
+            # after the size check passed: the last array's read comes up short
+            model = build(*args, **kwargs)
+            with open(p, "r+b") as f:
+                f.truncate(p.stat().st_size - 8)
+            return model
+
+        monkeypatch.setattr(nn, "_build_model", build_then_truncate)
+        with pytest.raises(nn.ModelIOError, match="truncated"):
             nn.load_checkpoint(p)
 
     def test_corrupt_header_rejected(self, tmp_path, rng):
