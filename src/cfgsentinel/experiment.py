@@ -8,6 +8,7 @@ for byte (crafting-time fields are omitted in this mode).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -71,15 +72,24 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
             except (TypeError, ValueError):
                 raise corpus.CorpusError(f"bad value for [{sec}] {key}: {raw!r}") from None
     corpus.check_train_fraction(out["split"]["train_fraction"])
-    train = out["train"]
-    if train["arch"] not in nn.ARCHITECTURES:
-        raise corpus.CorpusError(f"bad value for [train] arch: {train['arch']!r}")
-    if train["epochs"] < 1 or train["batch_size"] < 1:
-        raise corpus.CorpusError("[train] epochs and batch_size must be >= 1")
-    a = out["attack"]
-    if a["sgea_per_size"] < 1 or not 1 <= a["sgea_min_nodes"] <= a["sgea_max_nodes"]:
-        raise corpus.CorpusError("[attack] needs sgea_per_size >= 1 and "
-                                 "1 <= sgea_min_nodes <= sgea_max_nodes")
+    t, m, r, a = (out[sec] for sec in ("train", "mining", "rank", "attack"))
+    rules = [
+        (t["arch"] in nn.ARCHITECTURES, f"bad value for [train] arch: {t['arch']!r}"),
+        (t["epochs"] >= 1 and t["batch_size"] >= 1, "[train] epochs and batch_size must be >= 1"),
+        (t["lr"] > 0, "[train] lr must be > 0"),
+        (1 <= m["min_nodes"] <= m["max_nodes"], "[mining] needs 1 <= min_nodes <= max_nodes"),
+        (r["k"] >= 1 and r["benign_ceiling"] >= 0, "[rank] needs k >= 1 and benign_ceiling >= 0"),
+        (out["encode"]["budget_seconds"] > 0, "[encode] budget_seconds must be > 0"),
+        (a["sgea_per_size"] >= 1 and 1 <= a["sgea_min_nodes"] <= a["sgea_max_nodes"],
+         "[attack] needs sgea_per_size >= 1 and 1 <= sgea_min_nodes <= sgea_max_nodes"),
+    ]
+    # a fraction of 0 still asks for a support floor of 1 (fhmc.support_floor)
+    rules += [(0 <= out[sec][key] <= 1, f"[{sec}] {key} must be in [0, 1]")
+              for sec, key in (("mining", "support_fraction"), ("rank", "support_fraction"),
+                               ("attack", "sgea_support_fraction"))]
+    for ok, message in rules:
+        if not ok:
+            raise corpus.CorpusError(message)
     return out
 
 
@@ -127,17 +137,21 @@ def make_corpus(cfg: Sections, seed: int, corpus_dir: Path, splits_path: Path):
 
 def read_splits(path: str | Path, samples: Sequence[LabeledSample]):
     """The (train, test) samples a splits file names: an object whose
-    "train" and "test" are non-empty lists of ids of `samples`.  Anything
-    else raises GraphError."""
+    "train" and "test" are non-empty lists of ids of `samples`, no id named
+    twice.  Anything else raises GraphError."""
     doc = read_json(path)
     parts = [doc.get("train"), doc.get("test")] if isinstance(doc, dict) else [None]
     if not all(isinstance(p, list) and p and all(isinstance(i, str) for i in p) for p in parts):
         raise GraphError(f"bad splits file {path}: train and test must be "
                          "non-empty lists of sample ids")
     by_id = {s.id: s for s in samples}
-    missing = [i for part in parts for i in part if i not in by_id]
+    ids = [i for part in parts for i in part]
+    missing = [i for i in ids if i not in by_id]
     if missing:
         raise GraphError(f"splits reference unknown sample ids: {missing[:3]}")
+    repeated = sorted(i for i, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise GraphError(f"splits name a sample id more than once: {repeated[:3]}")
     return tuple([by_id[i] for i in part] for part in parts)
 
 

@@ -12,7 +12,9 @@ All conv/dense layers use ReLU except the final dense, whose logits feed a
 softmax with categorical cross-entropy.  For width 23 the cnn activation
 widths are 23, 21, 10, 10, 8, 4 with a flatten of 92*4 = 368.  Training is
 Adam (lr 1e-3, betas 0.9/0.999, eps 1e-8), 100 epochs, batch 32, and is
-bit-reproducible for a fixed seed.
+bit-reproducible for a fixed seed.  A layer holds only its weights:
+`forward(x, rng)` returns its output and the cache `backward(dout, cache)`
+reads, and dropout acts only when given an rng.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ class Dense(_Weighted):
     def __init__(self, rng, n_in: int, n_out: int):
         super().__init__(rng, (n_out, n_in), n_in, n_out)
 
-    def forward(self, x, train, rng):
-        self._x = x
+    def forward(self, x, rng):
         y = x @ self.W.T
         y += self.b
-        return y
+        return y, x
 
-    def backward(self, dout):
-        self.dW = np.matmul(dout.T, self._x, out=self.dW)
+    def backward(self, dout, x):
+        self.dW = np.matmul(dout.T, x, out=self.dW)
         self.db = dout.sum(axis=0)
         return dout @ self.W
 
@@ -99,7 +100,7 @@ class Conv1D(_Weighted):
         super().__init__(rng, (c_out, c_in, k), c_in * k, c_out * k)
         self.k, self.pad = k, pad
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         b, c_in, w = x.shape
         k, pad = self.k, self.pad
         w_pad = w + 2 * pad
@@ -117,22 +118,19 @@ class Conv1D(_Weighted):
                 block[:, :lo] = 0.0
             if hi < w_out:
                 block[:, hi:] = 0.0
-        self._cols = cols
-        self._w_pad = w_pad
         y = cols @ self.W.reshape(self.W.shape[0], -1).T
         y += self.b
-        return y.transpose(0, 2, 1)
+        return y.transpose(0, 2, 1), cols
 
-    def backward(self, dout):
+    def backward(self, dout, cols):
         b, c_out, w_out = dout.shape
         dmat = dout.transpose(0, 2, 1)  # (B, W_out, C_out)
         self.db = dout.sum(axis=(0, 2))
-        self.dW = np.tensordot(dmat, self._cols, axes=([0, 1], [0, 1])).reshape(self.W.shape)
+        self.dW = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(self.W.shape)
         # dcols (B, W_out, C_in * k) takes over the im2col buffer: dW read it last
-        dcols = np.matmul(dmat, self.W.reshape(c_out, -1), out=self._cols)
-        self._cols = None
+        dcols = np.matmul(dmat, self.W.reshape(c_out, -1), out=cols)
         c_in = self.W.shape[1]
-        dxp = np.zeros((b, c_in, self._w_pad))
+        dxp = np.zeros((b, c_in, w_out + self.k - 1))
         for o in range(self.k):
             dxp[:, :, o : o + w_out] += dcols[:, :, o::self.k].transpose(0, 2, 1)
         if self.pad:
@@ -147,18 +145,18 @@ class MaxPool1D(_Layer):
     argmax is the mask odd > even: a tie, signed zeros included, goes to
     the even element, as with argmax over a length-2 axis."""
 
-    def forward(self, x, train, rng):
-        w_out = x.shape[2] // 2
-        self._in_shape = x.shape
-        even, odd = x[:, :, 0 : 2 * w_out : 2], x[:, :, 1 : 2 * w_out : 2]
-        self._arg = odd > even
-        return np.maximum(even, odd)
+    def forward(self, x, rng):
+        w = 2 * (x.shape[2] // 2)
+        even, odd = x[:, :, 0:w:2], x[:, :, 1:w:2]
+        arg = odd > even
+        return np.maximum(even, odd), (arg, x.shape)
 
-    def backward(self, dout):
-        w_out = self._in_shape[2] // 2
-        full = np.zeros(self._in_shape)
-        np.copyto(full[:, :, 0 : 2 * w_out : 2], dout, where=~self._arg)
-        np.copyto(full[:, :, 1 : 2 * w_out : 2], dout, where=self._arg)
+    def backward(self, dout, cache):
+        arg, shape = cache
+        full = np.zeros(shape)
+        w = 2 * dout.shape[2]
+        np.copyto(full[:, :, 0:w:2], dout, where=~arg)
+        np.copyto(full[:, :, 1:w:2], dout, where=arg)
         return full
 
 
@@ -166,39 +164,37 @@ class ReLU(_Layer):
     """Multiplies by its mask in place: its input in forward, the incoming
     gradient in backward, both arrays the previous layer made for it."""
 
-    def forward(self, x, train, rng):
-        self._mask = x > 0
-        return np.multiply(x, self._mask, out=x)
+    def forward(self, x, rng):
+        mask = x > 0
+        return np.multiply(x, mask, out=x), mask
 
-    def backward(self, dout):
-        return np.multiply(dout, self._mask, out=dout)
+    def backward(self, dout, mask):
+        return np.multiply(dout, mask, out=dout)
 
 
 class Dropout(_Layer):
-    """Inverted dropout: active only in training mode, where it scales its
-    input and the incoming gradient in place."""
+    """Inverted dropout, active exactly when given an rng: it draws its mask
+    from it and scales its input and the incoming gradient in place."""
 
     def __init__(self, p: float):
         self.p = p
 
-    def forward(self, x, train, rng):
-        if not train:
-            self._mask = None
-            return x
-        self._mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return np.multiply(x, self._mask, out=x)
+    def forward(self, x, rng):
+        if rng is None:
+            return x, None
+        mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+        return np.multiply(x, mask, out=x), mask
 
-    def backward(self, dout):
-        return dout if self._mask is None else np.multiply(dout, self._mask, out=dout)
+    def backward(self, dout, mask):
+        return dout if mask is None else np.multiply(dout, mask, out=dout)
 
 
 class Flatten(_Layer):
-    def forward(self, x, train, rng):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+    def forward(self, x, rng):
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout):
-        return dout.reshape(self._shape)
+    def backward(self, dout, shape):
+        return dout.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +313,11 @@ class Model:
             X = X[:, None, :]
         return X
 
-    def _forward(self, x, train=False, rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, train, rng)
-        return x
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        logits = self._forward(self._prepare(X))
-        return softmax(logits)
+        x = self._prepare(X)
+        for layer in self.layers:
+            x = layer.forward(x, None)[0]  # the cache is dropped at once
+        return softmax(x)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
@@ -332,11 +325,16 @@ class Model:
     def predict_class(self, x: np.ndarray) -> str:
         return self.class_names[int(self.predict(x)[0])]
 
-    def loss_and_grads(self, X_scaled: np.ndarray, y: np.ndarray, train: bool, rng) -> float:
-        """Forward + backward on already-scaled inputs; grads left in layers."""
+    def loss_and_grads(self, X_scaled: np.ndarray, y: np.ndarray, rng=None) -> float:
+        """Mean cross-entropy of a forward and backward pass on already-scaled
+        inputs, the gradients left in the layers' `dW` and `db`; dropout acts
+        only when given `rng`.  Each cache lives from its forward to its backward."""
         x = X_scaled[:, None, :] if self.arch == "cnn" else X_scaled
-        logits = self._forward(x, train, rng)
-        probs = softmax(logits)
+        caches = []
+        for layer in self.layers:
+            x, cache = layer.forward(x, rng)
+            caches.append(cache)
+        probs = softmax(x)
         batch = len(y)
         loss = -np.mean(np.log(probs[np.arange(batch), y]))
         dlogits = probs.copy()
@@ -344,7 +342,7 @@ class Model:
         dlogits /= batch
         grad = dlogits
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            grad = layer.backward(grad, caches.pop())
         return float(loss)
 
     def param_arrays(self) -> list[np.ndarray]:
@@ -498,7 +496,7 @@ def train(
         total = 0.0
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            loss = model.loss_and_grads(Xs[idx], y[idx], train=True, rng=rng)
+            loss = model.loss_and_grads(Xs[idx], y[idx], rng)
             if not np.isfinite(loss):
                 raise TrainingError("non-finite training loss")
             opt.step(model.grad_arrays())

@@ -245,7 +245,7 @@ def test_criterion_06_cnn_shape_chain():
     widths = [x.shape[2]]
     flat_width = None
     for layer in m.layers:
-        x = layer.forward(x, False, None)
+        x = layer.forward(x, None)[0]
         if isinstance(layer, (nn.Conv1D, nn.MaxPool1D)):
             widths.append(x.shape[2])
         elif isinstance(layer, nn.Flatten):

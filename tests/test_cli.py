@@ -401,6 +401,18 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
         "inf_sgea_fraction": ("sgea_support_fraction = 0.34", "sgea_support_fraction = inf"),
         "nan_corpus_float": ("[corpus]\n", "[corpus]\nbenign_extra_edges = nan\n"),
         "split_out_of_range": ("train_fraction = 0.75", "train_fraction = 1.5"),
+        # out-of-range numbers, refused before any work
+        "zero_lr": ("[train]\n", "[train]\nlr = 0\n"),
+        "negative_lr": ("[train]\n", "[train]\nlr = -1\n"),
+        "no_min_nodes": ("min_nodes = 2", "min_nodes = 0"),
+        "inverted_mining_band": ("min_nodes = 2", "min_nodes = 6"),
+        "no_k": ("k = 8", "k = 0"),
+        "negative_benign_ceiling": ("[rank]\n", "[rank]\nbenign_ceiling = -1\n"),
+        "no_budget": ("budget_seconds = 30", "budget_seconds = 0"),
+        "negative_budget": ("budget_seconds = 30", "budget_seconds = -5"),
+        "mining_fraction_above_1": ("support_fraction = 0.9", "support_fraction = 2"),
+        "negative_rank_fraction": ("support_fraction = 0.2", "support_fraction = -0.1"),
+        "sgea_fraction_above_1": ("sgea_support_fraction = 0.34", "sgea_support_fraction = 5"),
     }
     commands = {
         "train": ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
@@ -528,7 +540,14 @@ def test_runtime_errors_exit_5(ws, tmp_path, capsys):
     a_list.write_text(json.dumps(["a", "b"]))
     nested = tmp_path / "nested_splits.json"
     nested.write_text(json.dumps({"train": [["ghost-0001"]], "test": []}))
-    for splits in (stale, bad_json, no_test, a_list, nested):
+    # an id named twice in a part, or in both parts
+    good = json.loads(ws["splits"].read_text())
+    train, test = good["train"], good["test"]
+    repeated = tmp_path / "repeated_splits.json"
+    repeated.write_text(json.dumps({"train": train + train[:1], "test": test}))
+    shared = tmp_path / "shared_splits.json"
+    shared.write_text(json.dumps({"train": train, "test": test + train[:1]}))
+    for splits in (stale, bad_json, no_test, a_list, nested, repeated, shared):
         assert main(["train", "--config", str(ws["ini"]),
                      "--corpus", str(ws["manifest"]), "--splits", str(splits),
                      "--task", "detector",
@@ -577,7 +596,8 @@ def test_malformed_graph_document_exit_5(tmp_path, capsys):
 def test_task_without_samples_exit_5(ws, tmp_path, capsys):
     benign = [s.id for s in read_corpus(ws["manifest"]) if s.cls is SampleClass.BENIGN]
     splits = tmp_path / "benign_splits.json"
-    splits.write_text(json.dumps({"train": benign, "test": benign}))
+    half = len(benign) // 2
+    splits.write_text(json.dumps({"train": benign[:half], "test": benign[half:]}))
     assert main(["train", "--config", str(ws["ini"]),
                  "--corpus", str(ws["manifest"]), "--splits", str(splits),
                  "--task", "classifier",

@@ -11,16 +11,20 @@ from cfgsentinel import nn
 import oracles
 
 
-def signature(model):
-    """Activation-region fingerprint: ReLU sign patterns and pool argmaxes.
-    Central differences are only meaningful when the whole stencil stays in
-    one region, i.e. when this fingerprint is unchanged at theta +/- h."""
+def signature(model, Xs):
+    """Activation-region fingerprint of the forward pass over Xs that
+    `loss_and_grads(Xs, y)` runs: the ReLU sign patterns and pool argmaxes,
+    read from the caches the layers return.  Central differences are only
+    meaningful when the whole stencil stays in one region, i.e. when this
+    fingerprint is unchanged at theta +/- h."""
+    x = Xs[:, None, :] if model.arch == "cnn" else Xs
     sigs = []
     for layer in model.layers:
+        x, cache = layer.forward(x, None)
         if isinstance(layer, nn.ReLU):
-            sigs.append(layer._mask.tobytes())
+            sigs.append(cache.tobytes())
         elif isinstance(layer, nn.MaxPool1D):
-            sigs.append(layer._arg.tobytes())
+            sigs.append(cache[0].tobytes())
     return tuple(sigs)
 
 
@@ -32,8 +36,8 @@ def finite_difference_check(arch, seed, per_tensor=6, h=1e-4, batch=4):
     rng = np.random.default_rng(seed + 500)
     Xs = rng.uniform(0.05, 0.95, size=(batch, 23))
     y = rng.integers(0, 3, size=batch)
-    model.loss_and_grads(Xs, y, train=False, rng=rng)
-    sig0 = signature(model)
+    model.loss_and_grads(Xs, y)
+    sig0 = signature(model, Xs)
     grads = [g.copy() for g in model.grad_arrays()]
     worst = 0.0
     for P, G in zip(model.param_arrays(), grads):
@@ -45,11 +49,11 @@ def finite_difference_check(arch, seed, per_tensor=6, h=1e-4, batch=4):
                 break
             orig = flat[i]
             flat[i] = orig + h
-            lp = model.loss_and_grads(Xs, y, train=False, rng=rng)
-            sp = signature(model)
+            lp = model.loss_and_grads(Xs, y)
+            sp = signature(model, Xs)
             flat[i] = orig - h
-            lm = model.loss_and_grads(Xs, y, train=False, rng=rng)
-            sm = signature(model)
+            lm = model.loss_and_grads(Xs, y)
+            sm = signature(model, Xs)
             flat[i] = orig
             if sp != sig0 or sm != sig0:
                 continue  # stencil straddles a ReLU/pool kink: not comparable
@@ -77,7 +81,7 @@ class TestShapes:
         x = np.zeros((2, 1, 23))
         widths = []
         for layer in m.layers:
-            x = layer.forward(x, False, None)
+            x = layer.forward(x, None)[0]
             if x.ndim == 3:
                 widths.append(x.shape[2])
             elif isinstance(layer, nn.Flatten):
@@ -88,7 +92,7 @@ class TestShapes:
     def test_odd_width_pool_truncates(self):
         pool = nn.MaxPool1D()
         x = np.arange(2 * 3 * 21, dtype=float).reshape(2, 3, 21)
-        y = pool.forward(x, False, None)
+        y, _ = pool.forward(x, None)
         assert y.shape == (2, 3, 10)
 
 
@@ -278,11 +282,29 @@ class TestBuffers:
         # the 4th conv of a width-180 cnn: a (32, 87, 276) im2col buffer
         rng = np.random.default_rng(18)
         conv = nn.Conv1D(rng, 92, 92, 3, 0)
-        conv.forward(rng.standard_normal((32, 92, 89)), True, None)
-        cols_bytes = conv._cols.nbytes
+        _, cols = conv.forward(rng.standard_normal((32, 92, 89)), None)
         dout = rng.standard_normal((32, 92, 87))
-        assert _peak_traced_bytes(lambda: conv.backward(dout)) < cols_bytes
-        assert conv._cols is None
+        assert _peak_traced_bytes(lambda: conv.backward(dout, cols)) < cols.nbytes
+
+    def test_layers_hold_only_their_weights(self, tmp_path, rng):
+        def held(model):
+            return [(i, name) for i, layer in enumerate(model.layers)
+                    for name, value in vars(layer).items()
+                    if isinstance(value, np.ndarray) and name not in ("W", "b")]
+
+        wide = nn.build_model("cnn", 300, ("a", "b"), seed=0)
+        wide.scaler_min, wide.scaler_max = np.zeros(300), np.ones(300)
+        wide.predict(rng.uniform(size=(200, 300)))
+        assert held(wide) == []
+        X = rng.uniform(size=(10, 23))
+        for arch in nn.ARCHITECTURES:
+            m = nn.train(X, np.array([0, 1] * 5), ("a", "b"), arch=arch, seed=0, epochs=1)
+            assert held(m) == []
+            nn.save_checkpoint(m, tmp_path / "m.ckpt")
+            loaded = nn.load_checkpoint(tmp_path / "m.ckpt")
+            assert held(loaded) == []
+            loaded.predict(X)
+            assert held(loaded) == []
 
     def width_180_checkpoint(self, tmp_path):
         m = nn.build_model("cnn", 180, ("a", "b"), seed=0)
@@ -380,17 +402,19 @@ class TestLayersMatchCopyingOracles:
         for x in (tie_heavy(rng, shape), rng.standard_normal(shape)):
             dout = tie_heavy(rng, shape[:2] + (shape[2] // 2,))
             ours, ref = nn.MaxPool1D(), oracles.ArgmaxPool()
-            assert same_bits(ours.forward(x.copy(), False, None), ref.forward(x.copy()))
-            assert np.array_equal(ours._arg, ref.arg == 1)
-            assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+            got, cache = ours.forward(x.copy(), None)
+            assert same_bits(got, ref.forward(x.copy()))
+            assert np.array_equal(cache[0], ref.arg == 1)
+            assert same_bits(ours.backward(dout.copy(), cache), ref.backward(dout.copy()))
 
     @pytest.mark.parametrize("shape", LAYER_SHAPES)
     def test_relu(self, shape):
         rng = np.random.default_rng(sum(shape) + 1)
         x, dout = tie_heavy(rng, shape), tie_heavy(rng, shape)
         ours, ref = nn.ReLU(), oracles.CopyingReLU()
-        assert same_bits(ours.forward(x.copy(), False, None), ref.forward(x.copy()))
-        assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+        got, mask = ours.forward(x.copy(), None)
+        assert same_bits(got, ref.forward(x.copy()))
+        assert same_bits(ours.backward(dout.copy(), mask), ref.backward(dout.copy()))
 
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("shape", LAYER_SHAPES)
@@ -398,9 +422,9 @@ class TestLayersMatchCopyingOracles:
         rng = np.random.default_rng(sum(shape) + 2)
         x, dout = tie_heavy(rng, shape), tie_heavy(rng, shape)
         ours, ref = nn.Dropout(0.25), oracles.CopyingDropout(0.25)
-        got = ours.forward(x.copy(), train, np.random.default_rng(9))
+        got, mask = ours.forward(x.copy(), np.random.default_rng(9) if train else None)
         assert same_bits(got, ref.forward(x.copy(), train, np.random.default_rng(9)))
-        assert same_bits(ours.backward(dout.copy()), ref.backward(dout.copy()))
+        assert same_bits(ours.backward(dout.copy(), mask), ref.backward(dout.copy()))
 
     @pytest.mark.parametrize("shape, pad", [(shape, pad) for shape in LAYER_SHAPES
                                             for pad in (0, 1) if shape[2] + 2 * pad >= 3])
@@ -411,13 +435,13 @@ class TestLayersMatchCopyingOracles:
         conv.b[...] = rng.standard_normal(6)
         ref = oracles.PadConvForward(conv)
         x = tie_heavy(rng, shape)
-        assert same_bits(conv.forward(x, False, None), ref.forward(x))
-        assert same_bits(conv._cols, ref.cols)
+        got, cols = conv.forward(x, None)
+        assert same_bits(got, ref.forward(x))
+        assert same_bits(cols, ref.cols)
         dout = rng.standard_normal((b, 6, w + 2 * pad - 2))
-        dx = conv.backward(dout)
+        dx = conv.backward(dout, cols)
         dW, db = conv.dW.copy(), conv.db.copy()
-        conv._cols = ref.cols
-        assert same_bits(conv.backward(dout), dx)
+        assert same_bits(conv.backward(dout, ref.cols), dx)
         assert same_bits(conv.dW, dW) and same_bits(conv.db, db)
 
 
