@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import adversarial, corpus, experiment, fhmc, mining, nn
+from .features import FEATURE_COUNT
 from .graph import GraphError, SampleClass, indented_json, read_corpus
 from .isomorphism import is_subgraph
 
@@ -75,8 +76,16 @@ def _given(flag, default):
     return default if flag is None else flag
 
 
-def _load_model(path: str) -> nn.Model:
-    return nn.load_checkpoint(_existing(path, "model checkpoint"))
+def _load_model(path: str, *roles: tuple[str, ...], width: int = FEATURE_COUNT) -> nn.Model:
+    """The checkpoint at `path`; ModelIOError unless its class names are one
+    of `roles` and its input width is `width`."""
+    model = nn.load_checkpoint(_existing(path, "model checkpoint"))
+    if tuple(model.class_names) not in roles or model.input_width != width:
+        raise nn.ModelIOError(
+            f"{path}: classes {list(model.class_names)} and input width {model.input_width} "
+            f"do not fit here (classes {' or '.join(str(list(r)) for r in roles)}, "
+            f"width {width})")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +118,10 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_eval(args, cfg) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args.model, fhmc.DETECTOR_CLASSES, fhmc.FAMILY_CLASSES)
     samples = _samples(args, "test")
     task = "detector" if tuple(model.class_names) == fhmc.DETECTOR_CLASSES else "classifier"
-    keep, names, y = experiment.task_labels(samples, task)
-    if tuple(model.class_names) != names:
-        raise corpus.CorpusError("model classes do not match task labels")
+    keep, _, y = experiment.task_labels(samples, task)
     X = experiment.feature_matrix(keep)
     benign_index = 0 if task == "detector" else None
     doc = nn.evaluate(model, X, y, benign_index=benign_index).to_dict()
@@ -173,7 +180,7 @@ def cmd_encode(args, cfg) -> int:
 
 
 def cmd_attack(args, cfg) -> int:
-    model = _load_model(args.model)
+    model = _load_model(args.model, fhmc.DETECTOR_CLASSES, fhmc.FAMILY_CLASSES)
     samples = _load_corpus(args.corpus)
     train_s, test_s = _split_samples(samples, args.splits)
     target = args.target
@@ -204,8 +211,10 @@ def cmd_attack(args, cfg) -> int:
 
 
 def cmd_pipeline(args, cfg) -> int:
-    models = [_load_model(path) for path in (args.detector, args.classifier, args.sbd)]
     ranked = fhmc.read_ranked(_existing(args.ranked, "ranked pattern file"))
+    models = [_load_model(args.detector, fhmc.DETECTOR_CLASSES),
+              _load_model(args.classifier, fhmc.FAMILY_CLASSES),
+              _load_model(args.sbd, fhmc.SBD_CLASSES, width=len(ranked))]
     verdicts = experiment.write_pipeline(Path(args.out), _samples(args, "test"), models,
                                          ranked, cfg["encode"]["budget_seconds"])
     print(json.dumps({"verdicts": fhmc.verdict_counts(verdicts)}, sort_keys=True))

@@ -114,7 +114,7 @@ def degree_centrality(g: Cfg) -> dict[int, float]:
     view = g.view
     if n <= 1:
         return {i: 0.0 for i in view.ids}
-    return {i: (o + d) / (n - 1) for i, o, d in zip(view.ids, view.outdeg, view.indeg)}
+    return {i: (len(s) + len(p)) / (n - 1) for i, s, p in zip(view.ids, view.succ, view.pred)}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -110,13 +110,15 @@ class GraphView:
 
     Nodes are indexed by position 0..n-1, in document order.  ids[k] is the
     node id at position k and labels[k] its label.  succ[k] / pred[k]: the
-    positions of k's successors / predecessors, in ascending node-id order.
-    edges: the arcs as position pairs.  plan: the compiled match plan when
-    the graph is used as a pattern (set by the isomorphism module).  The
-    fields only matching and features read (degrees and bitsets) are built
-    on first use: the miner makes a view of every DFS code it checks and
-    reads none of them.
+    positions of k's successors / predecessors, in ascending node-id order
+    (their lengths are the degrees).  edges: the arcs as position pairs.
+    The miner builds a view of every DFS code it checks.  plan / masks: a
+    pattern's match plan / a host's bitsets, None until the isomorphism
+    module fills them.
     """
+
+    plan = None
+    masks = None
 
     def __init__(self, ids: Iterable[int], labels: Iterable[int],
                  arcs: Sequence[tuple[int, int]]):
@@ -132,63 +134,6 @@ class GraphView:
             pred[v].append(u)
         self.succ = tuple(map(tuple, succ))
         self.pred = tuple(map(tuple, pred))
-        self.plan = None
-
-    @cached_property
-    def outdeg(self) -> list[int]:
-        """Out-degree per position (a self-loop counts once)."""
-        return list(map(len, self.succ))
-
-    @cached_property
-    def indeg(self) -> list[int]:
-        """In-degree per position (a self-loop counts once)."""
-        return list(map(len, self.pred))
-
-    @cached_property
-    def masks(self) -> "Masks":
-        """The adjacency as int bitsets, bit k standing for position k."""
-        n = len(self.ids)
-        succ = [0] * n
-        pred = [0] * n
-        for u, v in self.edges:
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        by_label: dict[int, list[int]] = {}
-        for k, lab in enumerate(self.labels):
-            by_label.setdefault(lab, []).append(k)
-        need: dict[tuple[int, int, int], int] = {}
-        for lab, members in by_label.items():
-            need[2, lab, 1] = sum(1 << k for k in members)
-            # bit-sliced counters: levels[j] holds the positions with more
-            # than j neighbours of this label seen so far
-            for d, adj in ((0, pred), (1, succ)):
-                levels: list[int] = []
-                for w in members:
-                    carry = adj[w]
-                    for j, level in enumerate(levels):
-                        levels[j] = level | carry
-                        carry &= level
-                        if not carry:
-                            break
-                    else:
-                        if carry:
-                            levels.append(carry)
-                for j, level in enumerate(levels, 1):
-                    need[d, lab, j] = level
-        loops = sum(1 << k for k in range(n) if succ[k] >> k & 1)
-        return Masks(tuple(succ), tuple(pred), loops, need)
-
-
-class Masks(NamedTuple):
-    """A graph's adjacency as int bitsets over positions, for matching."""
-
-    succ: tuple[int, ...]  # per position: its successors
-    pred: tuple[int, ...]  # per position: its predecessors
-    loops: int             # the positions with a self-loop
-    # (direction, label, k) -> the positions with at least k successors
-    # (direction 0) or predecessors (direction 1) carrying the label;
-    # (2, label, 1) -> the positions carrying the label themselves
-    need: dict[tuple[int, int, int], int]
 
 
 def flow_graph(nodes: Sequence[tuple[int, int]], arcs: Iterable[tuple[int, int]]) -> Cfg:

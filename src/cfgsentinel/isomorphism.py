@@ -4,18 +4,19 @@ A mapping m is a match when it is injective, label-preserving, and every
 pattern edge (u, v) has (m(u), m(v)) in the host.  Host edges outside the
 image are not constrained.
 
-The search works on the host's int bitsets (`GraphView.masks`), in the
-manner of Ullmann's candidate refinement.  Each pattern position first gets
-a static candidate set: the host nodes with its label, its self-loop and,
-per neighbour label, at least as many successors and predecessors with that
+The search works on the host's int bitsets (`Masks`), in the manner of
+Ullmann's candidate refinement.  Each pattern position first gets a static
+candidate set: the host nodes with its label, its self-loop and, per
+neighbour label, at least as many successors and predecessors with that
 label as the pattern node has (the neighbour-label-frequency filter).  A
 position's candidates during the search are its static set minus the used
 host nodes, intersected with the successor or predecessor sets of its
 already-mapped pattern neighbours.  Candidates are taken lowest position
 first; the results do not depend on that order.
 
-Each pattern is compiled once into a match plan, kept on its graph view
-(`Cfg.view.plan`) and reused against every host.
+A pattern's match plan (`_compile`) and a host's bitsets (`_host_masks`)
+are built by the first match that needs them and kept on the graph's view
+(`Cfg.view.plan`, `Cfg.view.masks`).
 
 A search can be bounded in time: inside `deadline(seconds)`, every match
 checks the clock on entry and every 1,024 search steps, and raises
@@ -55,12 +56,57 @@ def deadline(seconds: float) -> Iterator[None]:
         _DEADLINE.reset(token)
 
 
+class Masks(NamedTuple):
+    """A host's adjacency as int bitsets, bit k standing for position k."""
+
+    succ: tuple[int, ...]  # per position: its successors
+    pred: tuple[int, ...]  # per position: its predecessors
+    loops: int             # the positions with a self-loop
+    # (direction, label, k) -> the positions with at least k successors
+    # (direction 0) or predecessors (direction 1) carrying the label;
+    # (2, label, 1) -> the positions carrying the label themselves
+    need: dict[tuple[int, int, int], int]
+
+
+def _host_masks(h: GraphView) -> Masks:
+    n = len(h.ids)
+    succ = [0] * n
+    pred = [0] * n
+    for u, v in h.edges:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    by_label: dict[int, list[int]] = {}
+    for k, lab in enumerate(h.labels):
+        by_label.setdefault(lab, []).append(k)
+    need: dict[tuple[int, int, int], int] = {}
+    for lab, members in by_label.items():
+        need[2, lab, 1] = sum(1 << k for k in members)
+        # bit-sliced counters: levels[j] holds the positions with more
+        # than j neighbours of this label seen so far
+        for d, adj in ((0, pred), (1, succ)):
+            levels: list[int] = []
+            for w in members:
+                carry = adj[w]
+                for j, level in enumerate(levels):
+                    levels[j] = level | carry
+                    carry &= level
+                    if not carry:
+                        break
+                else:
+                    if carry:
+                        levels.append(carry)
+            for j, level in enumerate(levels, 1):
+                need[d, lab, j] = level
+    loops = sum(1 << k for k in range(n) if succ[k] >> k & 1)
+    return Masks(tuple(succ), tuple(pred), loops, need)
+
+
 def _pattern_order(p: GraphView) -> list[int]:
     """Match order, as pattern positions: start at the highest-degree node,
     then prefer nodes connected to the already-ordered prefix; ties go to the
     larger label, then the smaller node id."""
     def key(i):
-        return p.outdeg[i] + p.indeg[i], p.labels[i], -p.ids[i]
+        return len(p.succ[i]) + len(p.pred[i]), p.labels[i], -p.ids[i]
 
     remaining = set(range(len(p.ids)))
     first = max(remaining, key=key)
@@ -120,7 +166,10 @@ def _match(pattern: Cfg, host: Cfg, limit: int) -> int:
     plan = p.plan
     if plan is None:
         plan = p.plan = _compile(p)
-    succ, pred, loops, need = h.masks
+    masks = h.masks
+    if masks is None:
+        masks = h.masks = _host_masks(h)
+    succ, pred, loops, need = masks
 
     static = []
     try:

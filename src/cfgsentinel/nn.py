@@ -491,17 +491,20 @@ def train(
 
     opt = Adam(model.param_arrays(), lr=lr)
     n = len(Xs)
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            loss = model.loss_and_grads(Xs[idx], y[idx], rng)
-            if not np.isfinite(loss):
-                raise TrainingError("non-finite training loss")
-            opt.step(model.grad_arrays())
-            total += loss * len(idx)
-        model.loss_history.append(total / n)
+    # A diverging run overflows before its loss turns non-finite; that check
+    # is the one report, so numpy's warnings are silenced, not its results.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch_size):
+                idx = perm[start : start + batch_size]
+                loss = model.loss_and_grads(Xs[idx], y[idx], rng)
+                if not np.isfinite(loss):
+                    raise TrainingError("non-finite training loss")
+                opt.step(model.grad_arrays())
+                total += loss * len(idx)
+            model.loss_history.append(total / n)
     for layer in model.layers:
         if isinstance(layer, _Weighted):
             layer.dW = layer.db = None

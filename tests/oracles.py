@@ -199,8 +199,8 @@ def _vf2_compile(p):
     return tuple(
         (
             p.labels[n],
-            p.outdeg[n],
-            p.indeg[n],
+            len(p.succ[n]),
+            len(p.pred[n]),
             n in p.succ[n],
             tuple(pos[q] for q in p.succ[n] if pos[q] < k),
             tuple(pos[q] for q in p.pred[n] if pos[q] < k),
@@ -232,7 +232,7 @@ def vf2_match(pattern: Cfg, host: Cfg, limit: int) -> int:
     plan = _vf2_compile(p)
     size = len(plan)
     edges = h.edges
-    labels, outdeg, indeg = h.labels, h.outdeg, h.indeg
+    labels = h.labels
     succ, pred = h.succ, h.pred
     mapping = [0] * size  # host position of each plan position
     used: set[int] = set()
@@ -254,7 +254,7 @@ def vf2_match(pattern: Cfg, host: Cfg, limit: int) -> int:
             cands = by_label.get(label, ())
         for cand in cands:
             if (cand in used or labels[cand] != label
-                    or outdeg[cand] < odeg or indeg[cand] < ideg
+                    or len(succ[cand]) < odeg or len(pred[cand]) < ideg
                     or (loop and (cand, cand) not in edges)):
                 continue
             # every pattern edge to an earlier position needs its host edge;

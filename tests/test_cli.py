@@ -437,6 +437,20 @@ def test_bad_config_exit_4(ws, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_diverging_training_prints_one_line_exit_5(tmp_path):
+    # in a child process, so numpy's warnings would reach its stderr
+    ini = tmp_path / "huge_lr.ini"
+    ini.write_text(TINY_INI.replace("[train]\n", "[train]\nlr = 1e300\n"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cfgsentinel.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "repro", "--config", str(ini), "--seed", "5", "--out", str(tmp_path / "run")],
+        env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_RUNTIME
+    assert done.stderr.splitlines() == ["error: non-finite training loss"]
+
+
 def test_refused_split_writes_nothing(tmp_path, capsys):
     ini = tmp_path / "split.ini"
     ini.write_text(TINY_INI.replace("train_fraction = 0.75", "train_fraction = 1.5"))
@@ -572,6 +586,38 @@ def test_malformed_checkpoint_header_exit_4(ws, tmp_path, capsys):
                          "--out", str(tmp_path / "v.jsonl")]) == EXIT_BAD_CONFIG, (defect, role)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, ckpt", [
+    pytest.param("pipeline", "--detector", "sbd", id="pipeline_detector_is_sbd"),
+    pytest.param("pipeline", "--sbd", "detector", id="pipeline_sbd_is_detector"),
+    pytest.param("attack", "--model", "sbd", id="attack_model_is_sbd"),
+    pytest.param("pipeline", "--detector", "classifier", id="pipeline_detector_is_classifier"),
+    pytest.param("pipeline", "--classifier", "detector", id="pipeline_classifier_is_detector"),
+    pytest.param("eval", "--model", "narrow_detector", id="eval_detector_one_input_short"),
+    pytest.param("pipeline", "--sbd", "wide_sbd", id="pipeline_sbd_one_input_long"),
+])
+def test_checkpoint_outside_its_role_exit_4(ws, tmp_path, capsys, command, flag, ckpt):
+    path = ws.get(ckpt)
+    if path is None:  # the role's class names with another input width, untrained
+        classes, width = {
+            "narrow_detector": (fhmc.DETECTOR_CLASSES, FEATURE_COUNT - 1),
+            "wide_sbd": (fhmc.SBD_CLASSES, len(fhmc.read_ranked(ws["ranked"])) + 1),
+        }[ckpt]
+        path = tmp_path / f"{ckpt}.ckpt"
+        nn.save_checkpoint(nn.build_model("dnn", width, classes, seed=0), path)
+    flags = {"pipeline": {"--detector": ws["detector"], "--classifier": ws["classifier"],
+                          "--sbd": ws["sbd"], "--ranked": ws["ranked"]},
+             "attack": {"--mode": "gea"}, "eval": {}}[command]
+    flags[flag] = path
+    out = tmp_path / "out.json"
+    argv = [command, *(x for f, v in flags.items() for x in (f, str(v))),
+            "--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_malformed_graph_document_exit_5(tmp_path, capsys):

@@ -120,10 +120,6 @@ class TestAdjacency:
             assert {(view.ids[a], view.ids[b]) for a, b in view.edges} == g.edges
 
 
-def _bits(positions) -> int:
-    return sum(1 << k for k in positions)
-
-
 class TestView:
     def test_fields(self):
         g = make([(3, 1), (0, 2), (5, 1)], [(3, 0), (0, 5), (5, 5)], entry=3, exits={5})
@@ -134,36 +130,8 @@ class TestView:
         assert v.succ == ((1,), (2,), (2,))
         assert v.pred == ((), (0,), (1, 2))
         assert v.edges == {(0, 1), (1, 2), (2, 2)}
-        assert v.outdeg == [1, 1, 1]
-        assert v.indeg == [0, 1, 2]
-        assert v.masks == (
-            (0b010, 0b100, 0b100), (0b000, 0b001, 0b110), 0b100,
-            {(2, 1, 1): 0b101, (2, 2, 1): 0b010,
-             (0, 2, 1): 0b001, (0, 1, 1): 0b110,
-             (1, 1, 1): 0b110, (1, 2, 1): 0b100})
         assert v.plan is None
-
-    def test_masks_count_neighbour_labels(self, rng):
-        # every (direction, label, k) bit against a count per position;
-        # hosts of 70 nodes or more have masks that span several int digits
-        for n_lo, n_hi in ((1, 12), (70, 90)):
-            for _ in range(20):
-                g = relabeled(random_cfg(rng, n_lo=n_lo, n_hi=n_hi, p=3.0, n_labels=3,
-                                         self_loops=True), rng, shuffle=True)
-                v = g.view
-                m = v.masks
-                want = {}
-                for k, lab in enumerate(v.labels):
-                    want[2, lab, 1] = want.get((2, lab, 1), 0) | 1 << k
-                    for d, nbrs in enumerate((v.succ[k], v.pred[k])):
-                        for j in range(1, len(nbrs) + 1):
-                            for other in set(v.labels):
-                                if sum(v.labels[w] == other for w in nbrs) >= j:
-                                    want[d, other, j] = want.get((d, other, j), 0) | 1 << k
-                assert m.need == want
-                assert m.succ == tuple(_bits(s) for s in v.succ)
-                assert m.pred == tuple(_bits(s) for s in v.pred)
-                assert m.loops == _bits(k for k in range(len(v.ids)) if k in v.succ[k])
+        assert v.masks is None
 
     def test_neighbours_in_id_order(self):
         # position order (3, 0, 5) is not id order: pred of id 5 lists id 0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfgsentinel.graph import Cfg
-from cfgsentinel.isomorphism import SearchTimeout, _compile, deadline, is_subgraph, match_count
+from cfgsentinel.isomorphism import (SearchTimeout, _compile, _host_masks, deadline,
+                                     is_subgraph, match_count)
 from conftest import cycle_graph, path_graph, random_cfg, relabeled, tiny_cfg, transitive_dag
 import oracles
 
@@ -161,11 +162,17 @@ class TestCompiledPlan:
     def test_plan_compiled_once_per_pattern(self):
         p = path_graph((0, 1))
         host = path_graph((0, 1, 0, 1))
+        assert host.view.masks is None
         assert is_subgraph(p, host)
         plan = p.view.plan
+        masks = host.view.masks
         assert plan is not None
+        assert masks == _host_masks(host.view)
         assert match_count(p, host) == 2
         assert p.view.plan is plan
+        assert host.view.masks is masks
+        # a graph used only as a pattern never gets host bitsets
+        assert p.view.masks is None
 
     def test_graphs_are_collected_once_dropped(self, rng):
         from cfgsentinel.features import extract_features
@@ -178,6 +185,43 @@ class TestCompiledPlan:
         del p, h
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+
+def _bits(positions) -> int:
+    return sum(1 << k for k in positions)
+
+
+class TestHostMasks:
+    def test_fields(self):
+        # positions 0, 1, 2 hold ids 3, 0, 5
+        h = g([(3, 1), (0, 2), (5, 1)], [(3, 0), (0, 5), (5, 5)], entry=3, exits={5})
+        assert _host_masks(h.view) == (
+            (0b010, 0b100, 0b100), (0b000, 0b001, 0b110), 0b100,
+            {(2, 1, 1): 0b101, (2, 2, 1): 0b010,
+             (0, 2, 1): 0b001, (0, 1, 1): 0b110,
+             (1, 1, 1): 0b110, (1, 2, 1): 0b100})
+
+    def test_masks_count_neighbour_labels(self, rng):
+        # every (direction, label, k) bit against a count per position;
+        # hosts of 70 nodes or more have masks that span several int digits
+        for n_lo, n_hi in ((1, 12), (70, 90)):
+            for _ in range(20):
+                h = relabeled(random_cfg(rng, n_lo=n_lo, n_hi=n_hi, p=3.0, n_labels=3,
+                                         self_loops=True), rng, shuffle=True)
+                v = h.view
+                m = _host_masks(v)
+                want = {}
+                for k, lab in enumerate(v.labels):
+                    want[2, lab, 1] = want.get((2, lab, 1), 0) | 1 << k
+                    for d, nbrs in enumerate((v.succ[k], v.pred[k])):
+                        for j in range(1, len(nbrs) + 1):
+                            for other in set(v.labels):
+                                if sum(v.labels[w] == other for w in nbrs) >= j:
+                                    want[d, other, j] = want.get((d, other, j), 0) | 1 << k
+                assert m.need == want
+                assert m.succ == tuple(_bits(s) for s in v.succ)
+                assert m.pred == tuple(_bits(s) for s in v.pred)
+                assert m.loops == _bits(k for k in range(len(v.ids)) if k in v.succ[k])
 
 
 def seeded_graph(rng, n_lo, n_hi, n_labels, p):

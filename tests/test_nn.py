@@ -2,6 +2,7 @@ import json
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,16 @@ class TestTraining:
         X = np.zeros((4, 23))
         with pytest.raises(nn.TrainingError):
             nn.train(X, np.zeros(3, dtype=int), ("a", "b"), epochs=1)
+
+    @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
+    def test_divergence_raises_only_training_error(self, arch):
+        # a numpy warning would be raised here before the loss check
+        X = np.random.default_rng(0).uniform(size=(16, 23))
+        y = np.arange(16) % 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nn.TrainingError, match="non-finite training loss"):
+                nn.train(X, y, ("a", "b"), arch=arch, epochs=3, batch_size=8, lr=1e300)
 
 
 def _peak_traced_bytes(fn) -> int:
