@@ -358,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (GraphError, adversarial.AttackError, nn.TrainingError, fhmc.EncodingTimeout,
-            OSError) as e:  # OSError here: an output that cannot be written
+            OSError) as e:  # OSError: an unwritable output, or a worker that died
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -8,9 +8,13 @@ for byte (crafting-time fields are omitted in this mode).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -180,6 +184,97 @@ def write_pipeline(path: Path, samples: Sequence[LabeledSample], models, ranked,
     return verdicts
 
 
+# The donors, the SGEA pool and the screen all assume benign-looking
+# evaders, so the attacks always target Benign.
+_TARGET = SampleClass.BENIGN.value
+
+
+def _attack_half(detector, train_s, mal_test, benign_train, attack) -> tuple[list, list]:
+    """The SGEA candidate pool mined from `train_s`, and each attack run on
+    the malware test samples `mal_test` against `detector` as (report name,
+    report, merged graphs by victim id): GEA with the `benign_train` donors
+    under every strategy, then SGEA over the pool.  `attack` is the
+    `[attack]` section."""
+    # Candidate pool: the best `sgea_per_size` benign-discriminative patterns
+    # of each node count, so the ascending attack loop always has larger
+    # fallbacks for victims the small patterns cannot flip.
+    pool = mining.select_discriminative(
+        train_s,
+        SampleClass.BENIGN,
+        min_support=fhmc.support_floor(len(benign_train), attack["sgea_support_fraction"]),
+        min_nodes=attack["sgea_min_nodes"],
+        max_nodes=attack["sgea_max_nodes"],
+        top_k=attack["sgea_per_size"],
+        per_size=True,
+    )
+    # Each run: its report name, the attack, and the attack's arguments
+    # between the victims and the target.
+    runs = [(f"gea_{strategy}", adversarial.gea_attack, (benign_train, strategy))
+            for strategy in adversarial.STRATEGIES]
+    runs.append(("sgea", adversarial.sgea_attack_all, (pool,)))
+    return pool, [(name, *attack_fn(detector, mal_test, *args, _TARGET,
+                                    include_timing=False))
+                  for name, attack_fn, args in runs]
+
+
+def _beside(work: Callable[[], object], main: Callable[[], object]) -> tuple:
+    """(main(), work()), with work() in a forked child process while main()
+    runs here; without os.fork, work() runs here after main().  An error in
+    main() kills the child and is raised; an error in work() is raised after
+    main() has returned; a child that ends without a result raises
+    ChildProcessError."""
+    if not hasattr(os, "fork"):
+        return main(), work()
+    rfd, wfd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that fork() in a process with threads may
+            # deadlock the child.  The only threads here are OpenBLAS's, which
+            # stops its pool around fork() (pthread_atfork) and starts it
+            # again in the child.  (Unverified: this code has run on
+            # Python 3.11 only, which does not warn.)
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        # The child leaves only through os._exit, with 0 once the whole
+        # result is written: it must never unwind into its caller's frames,
+        # which are copies of the parent's.
+        code = 1
+        try:
+            os.close(rfd)
+            try:
+                payload = pickle.dumps((True, work()))
+            except Exception as e:
+                payload = pickle.dumps((False, e))
+            with open(wfd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as pipe:
+            here = main()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"the attack worker ended without a result ({how})")
+    ok, value = pickle.loads(payload)  # bytes our own child wrote
+    if not ok:
+        raise value
+    return here, value
+
+
 def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     """Run the full experiment under `out` with the INI `sections` (checked
     by `settings`); returns the in-memory results."""
@@ -215,66 +310,51 @@ def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     write_json(out / "metrics" / "detector.json", det_metrics.to_dict())
     write_json(out / "metrics" / "classifier.json", fam_metrics.to_dict())
 
-    # -- family pattern mining and ranking ----------------------------------
-    candidates = fhmc.mine_family_candidates(train_s, **cfg["mining"])
-    patterns_dir = out / "patterns"
-    patterns_dir.mkdir(exist_ok=True)
-    for fam, cands in sorted(candidates.items()):
-        mining.write_patterns(cands, patterns_dir / f"candidates_{fam}.json")
-
+    # The SGEA pool and the attacks need only the detector: they run in a
+    # forked worker while family mining, ranking, encoding and screen
+    # training run here.  Every file is still written here, in stage order.
     benign_train, family_train = fhmc.class_groups(train_s)
-    ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **cfg["rank"])
-    fhmc.write_ranked(ranked, patterns_dir / "ranked.json")
-
-    # -- encodings and the suspicious-behavior screen ------------------------
+    patterns_dir = out / "patterns"
     budget = cfg["encode"]["budget_seconds"]
-    (out / "encodings").mkdir(exist_ok=True)
-    bits_train = write_encodings(out / "encodings" / "train.csv", train_s, ranked, budget)
-    bits_test = write_encodings(out / "encodings" / "test.csv", test_s, ranked, budget)
 
-    sbd = fhmc.train_sbd(
-        bits_train, y_det_train, seed=seed + 2,
-        epochs=train["epochs"], batch_size=train["batch_size"],
+    def screen_half():
+        # -- family pattern mining and ranking ------------------------------
+        candidates = fhmc.mine_family_candidates(train_s, **cfg["mining"])
+        patterns_dir.mkdir(exist_ok=True)
+        for fam, cands in sorted(candidates.items()):
+            mining.write_patterns(cands, patterns_dir / f"candidates_{fam}.json")
+        ranked = fhmc.rank_patterns(candidates, family_train, benign_train, **cfg["rank"])
+        fhmc.write_ranked(ranked, patterns_dir / "ranked.json")
+
+        # -- encodings and the suspicious-behavior screen --------------------
+        (out / "encodings").mkdir(exist_ok=True)
+        bits_train = write_encodings(out / "encodings" / "train.csv", train_s, ranked, budget)
+        bits_test = write_encodings(out / "encodings" / "test.csv", test_s, ranked, budget)
+        sbd = fhmc.train_sbd(
+            bits_train, y_det_train, seed=seed + 2,
+            epochs=train["epochs"], batch_size=train["batch_size"],
+        )
+        nn.save_checkpoint(sbd, models_dir / "sbd.ckpt")
+        sbd_metrics = nn.evaluate(sbd, bits_test, y_det_test, benign_index=0)
+        write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
+        return candidates, ranked, sbd, sbd_metrics
+
+    (candidates, ranked, sbd, sbd_metrics), (sgea_candidates, runs) = _beside(
+        lambda: _attack_half(detector, train_s, mal_test, benign_train, cfg["attack"]),
+        screen_half,
     )
-    nn.save_checkpoint(sbd, models_dir / "sbd.ckpt")
-    sbd_metrics = nn.evaluate(sbd, bits_test, y_det_test, benign_index=0)
-    write_json(out / "metrics" / "sbd.json", sbd_metrics.to_dict())
 
     # -- attacks -------------------------------------------------------------
-    attack = cfg["attack"]
-    # The donors, the SGEA pool and the screen all assume benign-looking
-    # evaders, so the attacks always target Benign.
-    target = SampleClass.BENIGN.value
-
-    # Candidate pool: the best `sgea_per_size` benign-discriminative patterns
-    # of each node count, so the ascending attack loop always has larger
-    # fallbacks for victims the small patterns cannot flip.
-    sgea_candidates = mining.select_discriminative(
-        train_s,
-        SampleClass.BENIGN,
-        min_support=fhmc.support_floor(len(benign_train), attack["sgea_support_fraction"]),
-        min_nodes=attack["sgea_min_nodes"],
-        max_nodes=attack["sgea_max_nodes"],
-        top_k=attack["sgea_per_size"],
-        per_size=True,
-    )
     mining.write_patterns(sgea_candidates, patterns_dir / "sgea_candidates.json")
-
     attacks_dir = out / "attacks"
     attacks_dir.mkdir(exist_ok=True)
     reports = {}
     evading: dict[str, object] = {}
-    # Each run: its report name, the attack, and the attack's arguments
-    # between the victims and the target.
-    runs = [(f"gea_{strategy}", adversarial.gea_attack, (benign_train, strategy))
-            for strategy in adversarial.STRATEGIES]
-    runs.append(("sgea", adversarial.sgea_attack_all, (sgea_candidates,)))
-    for name, attack_fn, args in runs:
-        report, merged = attack_fn(detector, mal_test, *args, target, include_timing=False)
+    for name, report, merged in runs:
         reports[name] = report
         adversarial.write_report_json(report, attacks_dir / f"{name}.json")
         for rec in report.records:
-            if rec.sample_id in merged and rec.adversarial_prediction == target:
+            if rec.sample_id in merged and rec.adversarial_prediction == _TARGET:
                 evading[f"{name}:{rec.sample_id}"] = merged[rec.sample_id]
     adversarial.write_report_csv(reports.values(), attacks_dir / "summary.csv")
 

@@ -375,16 +375,28 @@ def _mine(
             if gid_sets is None or prune is not None and prune(code, gid_sets):
                 continue
             report(code, gid_sets)
+
+    def children(prefix: Code, exts: dict[Entry, list[_Rec]]) -> list:
+        """(code, embeddings, graphs) of each extension in reverse DFS-code
+        order, leaving out those in fewer graphs than the support floor: no
+        extension of theirs can reach it."""
+        out = []
+        for e in reversed(sorted(exts, key=_entry_key)):
+            gis = {gi for gi, _, _ in exts[e]}
+            if len(gis) >= min_support:
+                out.append((prefix + (e,), exts[e], gis))
+        return out
+
     seeds: dict[Entry, list[_Rec]] = defaultdict(list)
     for gi, view in enumerate(views):
         _seed_embeddings(view, gi, seeds)
     # depth first, children pushed in reverse so they pop in DFS-code order;
     # a stack, as a self-calling nested function is a reference cycle that
     # keeps the views and callbacks alive until a full garbage collection
-    stack = [((e,), seeds[e]) for e in reversed(sorted(seeds, key=_entry_key))]
+    stack = children((), seeds)
     while stack:
-        code, recs = stack.pop()
-        gid_sets = frequent({gi for gi, _, _ in recs})
+        code, recs, gis = stack.pop()
+        gid_sets = frequent(gis)
         if gid_sets is None or not _is_min(code):
             continue
         if prune is not None and prune(code, gid_sets):
@@ -392,8 +404,7 @@ def _mine(
         n = _vertex_count(code)
         if min_nodes <= n <= max_nodes:  # not a 2-node seed arc at max_nodes 1
             report(code, gid_sets)
-        exts = _extensions(views, code, recs, n < max_nodes)
-        stack += [(code + (e,), exts[e]) for e in reversed(sorted(exts, key=_entry_key))]
+        stack += children(code, _extensions(views, code, recs, n < max_nodes))
 
 
 def _make_pattern(

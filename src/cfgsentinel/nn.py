@@ -336,7 +336,7 @@ class Model:
             caches.append(cache)
         probs = softmax(x)
         batch = len(y)
-        loss = -np.mean(np.log(probs[np.arange(batch), y]))
+        loss = cross_entropy(probs, y)
         dlogits = probs.copy()
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
@@ -377,6 +377,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log-probability of the labels `y`."""
+    return -np.mean(np.log(probs[np.arange(len(y)), y]))
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +510,13 @@ def train(
                 opt.step(model.grad_arrays())
                 total += loss * len(idx)
             model.loss_history.append(total / n)
+        # Every loss above was computed before its step, so the last step can
+        # leave weights that predict NaN: the training rows' losses once more,
+        # without dropout and in batches, check the model that is returned.
+        final = sum(cross_entropy(model.predict_proba(X[lo : lo + batch_size]),
+                                  y[lo : lo + batch_size]) for lo in range(0, n, batch_size))
+        if not np.isfinite(final):
+            raise TrainingError("non-finite training loss after the last step")
     for layer in model.layers:
         if isinstance(layer, _Weighted):
             layer.dW = layer.db = None

@@ -7,7 +7,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfgsentinel
-from cfgsentinel import experiment, fhmc, mining, nn
+from cfgsentinel import adversarial, experiment, fhmc, mining, nn
 from cfgsentinel.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_INPUT,
@@ -449,6 +451,87 @@ def test_diverging_training_prints_one_line_exit_5(tmp_path):
     )
     assert done.returncode == EXIT_RUNTIME
     assert done.stderr.splitlines() == ["error: non-finite training loss"]
+
+
+# ---------------------------------------------------------------------------
+# The attack worker: `repro` runs the SGEA pool and the attacks in a forked
+# process while the screen half runs in its own
+# ---------------------------------------------------------------------------
+
+def _tiny_repro(tmp_path: Path, name: str, seed: int = 5) -> tuple[int, Path]:
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / name
+    return main(["repro", "--config", str(ini), "--seed", str(seed), "--out", str(out)]), out
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_repro_same_tree_with_and_without_fork(tmp_path, monkeypatch):
+    trees = {}
+    for how in ("fork", "inline"):
+        if how == "inline":
+            monkeypatch.delattr(os, "fork")
+        for seed in (7, 5):
+            code, out = _tiny_repro(tmp_path, f"{how}{seed}", seed)
+            assert code == EXIT_OK
+            _assert_no_child_left()
+            trees[how, seed] = {p.relative_to(out).as_posix(): p.read_bytes()
+                                for p in sorted(out.rglob("*")) if p.is_file()}
+    for seed in (7, 5):
+        assert trees["fork", seed] == trees["inline", seed]
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["fork", "inline"])
+def test_attack_error_exits_5_after_the_screen_half(tmp_path, monkeypatch, capsys, fork):
+    def fail(*args, **kwargs):
+        raise adversarial.AttackError("no pattern flips any victim")
+
+    monkeypatch.setattr(adversarial, "sgea_attack_all", fail)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    code, out = _tiny_repro(tmp_path, "run")
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == ["error: no pattern flips any victim"]
+    _assert_no_child_left()
+    assert (out / "metrics" / "sbd.json").exists()
+    assert not (out / "patterns" / "sgea_candidates.json").exists()
+    assert not (out / "attacks").exists()
+
+
+def test_screen_error_leaves_no_attack_files(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise nn.TrainingError("non-finite training loss")
+
+    monkeypatch.setattr(fhmc, "train_sbd", fail)
+    code, out = _tiny_repro(tmp_path, "run")
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite training loss"]
+    _assert_no_child_left()
+    assert (out / "patterns" / "ranked.json").exists()
+    assert not (out / "patterns" / "sgea_candidates.json").exists()
+    assert not (out / "attacks").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker is forked only where os.fork exists")
+def test_killed_worker_raises_child_process_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mining, "select_discriminative",
+                        lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(TINY_INI)
+    sections = {sec: dict(parser[sec]) for sec in parser.sections()}
+    with pytest.raises(ChildProcessError, match=f"signal {int(signal.SIGKILL)}"):
+        experiment.run(tmp_path / "lib", seed=5, sections=sections)
+    _assert_no_child_left()
+    code, _ = _tiny_repro(tmp_path, "cli")
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the attack worker ended without a result (signal {int(signal.SIGKILL)})"]
+    _assert_no_child_left()
 
 
 def test_refused_split_writes_nothing(tmp_path, capsys):

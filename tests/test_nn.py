@@ -234,6 +234,16 @@ class TestTraining:
             with pytest.raises(nn.TrainingError, match="non-finite training loss"):
                 nn.train(X, y, ("a", "b"), arch=arch, epochs=3, batch_size=8, lr=1e300)
 
+    @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
+    def test_divergence_in_the_last_step_raises(self, arch):
+        # one step: the one loss a step sees is finite, the trained model's is not
+        X = np.random.default_rng(0).uniform(size=(16, 23))
+        y = np.arange(16) % 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nn.TrainingError, match="after the last step"):
+                nn.train(X, y, ("a", "b"), arch=arch, epochs=1, batch_size=16, lr=1e300)
+
 
 def _peak_traced_bytes(fn) -> int:
     tracemalloc.start()
