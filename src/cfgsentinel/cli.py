@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen, features, train, eval, mine, rank, encode, attack,
-pipeline, repro.  Every subcommand accepts --seed (default 0), --config
-(INI file with per-module sections, checked against `experiment.DEFAULTS`
-before the subcommand runs), and --out.  Exit codes: 0 success, 2 usage
-error, 3 missing input file, 4 invalid configuration, 5 data or runtime
-error.
+pipeline, repro.  Every subcommand accepts --seed (a non-negative integer,
+default 0), --config (INI file with per-module sections, checked against
+`experiment.DEFAULTS` before the subcommand runs), and --out.  Exit codes:
+0 success, 2 usage error, 3 missing input file, 4 invalid configuration or a
+model that predicts non-finite probabilities, 5 data or runtime error.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ def _samples(args, part: str):
         return samples
     train_s, test_s = _split_samples(samples, args.splits)
     return train_s if part == "train" else test_s
+
+
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take non-negative integer seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _given(flag, default):
@@ -198,7 +205,7 @@ def cmd_attack(args, cfg) -> int:
     else:
         if not args.patterns:
             raise MissingInput("sgea requires --patterns")
-        cands = mining.read_patterns(_existing(args.patterns[0], "pattern file"))
+        cands = mining.read_patterns(_existing(args.patterns, "pattern file"))
         report, _ = adversarial.sgea_attack_all(model, victims, cands, target)
     adversarial.write_report_json(report, out)
     csv_path = out.with_suffix(".csv")
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--config", default=None, help="INI config file")
 
     p = sub.add_parser("gen", help="generate a synthetic corpus and split")
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("gea", "sgea"), required=True)
     p.add_argument("--strategy", choices=adversarial.STRATEGIES, default="median")
     p.add_argument("--target", default="Benign")
-    p.add_argument("--patterns", nargs="*", default=None, help="sgea candidates")
+    p.add_argument("--patterns", default=None, help="sgea candidate file")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_attack)
 
@@ -330,10 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The parsed command line.  Flags `mine` would ignore are usage errors
-    (SystemExit 2), as argparse's own are."""
+    """The parsed command line.  Flags `mine` or `attack` would ignore are
+    usage errors (SystemExit 2), as argparse's own are."""
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "attack" and args.patterns is not None and args.mode != "sgea":
+        ap.error("attack --patterns needs --mode sgea")
     if args.command == "mine" and args.discriminative and not args.target:
         ap.error("mine --discriminative needs --target")
     if args.command == "mine" and args.top_k is not None and not args.discriminative:

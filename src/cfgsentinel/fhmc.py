@@ -272,10 +272,8 @@ def encode_many(
 
 
 def encodings_to_csv(ids: Sequence[str], bits: np.ndarray) -> str:
-    header = "id," + ",".join(f"p{i:04d}" for i in range(bits.shape[1]))
-    lines = [header]
-    for sid, row in zip(ids, bits):
-        lines.append(sid + "," + ",".join(str(int(b)) for b in row))
+    lines = [",".join(["id", *(f"p{i:04d}" for i in range(bits.shape[1]))])]
+    lines += [",".join([sid, *(str(int(b)) for b in row)]) for sid, row in zip(ids, bits)]
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import insort
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -333,18 +333,17 @@ def read_patterns(path: str | Path) -> list[Pattern]:
 
 def _mine(
     graphs: Sequence[Cfg],
-    classes: Sequence[str],
-    sample_ids: Sequence[str],
+    counted: Sequence[bool],
     min_support: int,
     min_nodes: int,
     max_nodes: int,
-    counted: set[str],
-    report: Callable[[Code, dict[str, set[str]]], None],
-    prune: Callable[[Code, dict[str, set[str]]], bool] | None = None,
+    report: Callable[[Code, list[int]], None],
+    prune: Callable[[Code, list[int]], bool] | None = None,
 ) -> None:
     """Visit each frequent code once in DFS-code order, asking `prune` (if
     set) whether to cut it, then `report` it if its node count is in range.
-    Support counts the distinct ids of the `counted` classes."""
+    Both get the code and the ascending indices of the graphs holding it; a
+    code is frequent when at least `min_support` of those are `counted`."""
     if min_support < 1:
         raise MiningError("min_support must be >= 1")
     if not (1 <= min_nodes <= max_nodes):
@@ -352,17 +351,12 @@ def _mine(
     if not graphs:
         raise MiningError("empty corpus")
     views = [g.view for g in graphs]
+    counted_gis = {gi for gi, c in enumerate(counted) if c}
 
-    def frequent(gis: set[int]) -> dict[str, set[str]] | None:
-        """Class -> ids of the graphs `gis`, filled in ascending index order,
-        or None when they miss the support floor."""
-        if len(gis) < min_support:  # each graph adds at most one id
-            return None
-        gid_sets: dict[str, set[str]] = {}
-        for gi in sorted(gis):
-            gid_sets.setdefault(classes[gi], set()).add(sample_ids[gi])
-        support = sum(len(v) for c, v in gid_sets.items() if c in counted)
-        return gid_sets if support >= min_support else None
+    def frequent(gis: set[int]) -> list[int] | None:
+        """The graphs `gis` in ascending order, or None when they miss the
+        support floor; so does every extension, held by a subset of them."""
+        return sorted(gis) if len(gis & counted_gis) >= min_support else None
 
     if min_nodes <= 1:
         by_label: dict[int, set[int]] = defaultdict(set)
@@ -370,21 +364,20 @@ def _mine(
             for lab in view.labels:
                 by_label[lab].add(gi)
         for lab in sorted(by_label):
-            gid_sets = frequent(by_label[lab])
+            held = frequent(by_label[lab])
             code: Code = ((0, 0, lab, -1, lab),)
-            if gid_sets is None or prune is not None and prune(code, gid_sets):
+            if held is None or prune is not None and prune(code, held):
                 continue
-            report(code, gid_sets)
+            report(code, held)
 
     def children(prefix: Code, exts: dict[Entry, list[_Rec]]) -> list:
-        """(code, embeddings, graphs) of each extension in reverse DFS-code
-        order, leaving out those in fewer graphs than the support floor: no
-        extension of theirs can reach it."""
+        """(code, embeddings, graphs) of each frequent extension in reverse
+        DFS-code order."""
         out = []
         for e in reversed(sorted(exts, key=_entry_key)):
-            gis = {gi for gi, _, _ in exts[e]}
-            if len(gis) >= min_support:
-                out.append((prefix + (e,), exts[e], gis))
+            held = frequent({gi for gi, _, _ in exts[e]})
+            if held is not None:
+                out.append((prefix + (e,), exts[e], held))
         return out
 
     seeds: dict[Entry, list[_Rec]] = defaultdict(list)
@@ -395,27 +388,25 @@ def _mine(
     # keeps the views and callbacks alive until a full garbage collection
     stack = children((), seeds)
     while stack:
-        code, recs, gis = stack.pop()
-        gid_sets = frequent(gis)
-        if gid_sets is None or not _is_min(code):
-            continue
-        if prune is not None and prune(code, gid_sets):
+        code, recs, held = stack.pop()
+        if not _is_min(code) or prune is not None and prune(code, held):
             continue
         n = _vertex_count(code)
         if min_nodes <= n <= max_nodes:  # not a 2-node seed arc at max_nodes 1
-            report(code, gid_sets)
+            report(code, held)
         stack += children(code, _extensions(views, code, recs, n < max_nodes))
 
 
-def _make_pattern(
-    code: Code, gid_sets: dict[str, set[str]], quality: int | None = None
-) -> Pattern:
-    return Pattern(
-        code=code,
-        support={c: len(v) for c, v in sorted(gid_sets.items())},
-        quality=quality,
-        supporting_ids={c: frozenset(v) for c, v in gid_sets.items()},
-    )
+def _make_pattern(code: Code, held: Sequence[int], classes: Sequence[str],
+                  sample_ids: Sequence[str], quality: int | None = None) -> Pattern:
+    """The pattern `code` held by the graphs `held`: per class, how many of
+    them hold it and their ids."""
+    ids: dict[str, set[str]] = defaultdict(set)
+    for gi in held:
+        ids[classes[gi]].add(sample_ids[gi])
+    support = Counter(classes[gi] for gi in held)
+    return Pattern(code=code, support=dict(sorted(support.items())), quality=quality,
+                   supporting_ids={c: frozenset(v) for c, v in ids.items()})
 
 
 def gspan_mine(
@@ -429,7 +420,7 @@ def gspan_mine(
     """All frequent connected patterns with node counts in
     [min_nodes, max_nodes], each reported once per isomorphism class with
     per-class support counts.  Support is the number of distinct corpus
-    graphs containing the pattern."""
+    graphs containing the pattern; its supporting ids name them."""
     if classes is None:
         classes = [ALL_CLASS] * len(graphs)
     if sample_ids is None:
@@ -437,8 +428,9 @@ def gspan_mine(
     if len(classes) != len(graphs) or len(sample_ids) != len(graphs):
         raise MiningError("classes/sample_ids must parallel graphs")
     patterns: list[Pattern] = []
-    _mine(graphs, classes, sample_ids, min_support, min_nodes, max_nodes, set(classes),
-          report=lambda code, gid_sets: patterns.append(_make_pattern(code, gid_sets)))
+    _mine(graphs, [True] * len(graphs), min_support, min_nodes, max_nodes,
+          report=lambda code, held: patterns.append(
+              _make_pattern(code, held, classes, sample_ids)))
     patterns.sort(key=lambda p: (p.node_count, p.code))
     return patterns
 
@@ -480,39 +472,40 @@ def select_discriminative(
     classes = [s.cls.value for s in samples]
     if target not in classes:
         raise MiningError(f"no samples of target class {target!r}")
-    pos_total = sum(1 for c in classes if c == target)
+    positive = [c == target for c in classes]
+    pos_total = sum(positive)
     neg_total = len(classes) - pos_total
     if top_k is not None and top_k < 1:
         raise MiningError("top_k must be positive")
     cap = top_k or math.inf
 
-    def supports(gid_sets: dict[str, set[str]]) -> tuple[int, int, int, int]:
+    def supports(held: list[int]) -> tuple[int, int, int, int]:
         """CORK's arguments: target and other hits, target and other totals."""
-        a = len(gid_sets.get(target, ()))
-        b = sum(len(v) for c, v in gid_sets.items() if c != target)
-        return a, b, pos_total, neg_total
+        a = sum(positive[gi] for gi in held)
+        return a, len(held) - a, pos_total, neg_total
 
     # bucket (node count with `per_size`, else 0) -> its best `cap` codes so
-    # far as ((-quality, node count, code), pattern), best first
+    # far as ((-quality, node count, code), graphs holding it), best first
     kept: dict[int, list] = defaultdict(list)
 
-    def prune(code: Code, gid_sets: dict[str, set[str]]) -> bool:
+    def prune(code: Code, held: list[int]) -> bool:
         # `code` and its extensions score at most ub, have some s >= lo nodes
         # and sort from `code` on: none enters a full bucket whose last key
         # sorts before (-ub, s, code), s = lo for the one bucket of top_k
         lo = max(_vertex_count(code), min_nodes)
-        ub = cork_upper_bound(*supports(gid_sets))
+        ub = cork_upper_bound(*supports(held))
         feeds = [(s, s) for s in range(lo, max_nodes + 1)] if per_size else [(0, lo)]
         return all(len(kept[b]) == cap and (-ub, s, code) > kept[b][-1][0] for b, s in feeds)
 
-    def on_found(code: Code, gid_sets: dict[str, set[str]]):
-        q, n = cork_quality(*supports(gid_sets)), _vertex_count(code)
+    def on_found(code: Code, held: list[int]):
+        q, n = cork_quality(*supports(held)), _vertex_count(code)
         bucket = kept[n if per_size else 0]
-        insort(bucket, ((-q, n, code), _make_pattern(code, gid_sets, quality=q)))
+        insort(bucket, ((-q, n, code), held))
         if len(bucket) > cap:
             bucket.pop()
 
-    _mine([s.cfg for s in samples], classes, [s.id for s in samples], min_support,
-          min_nodes, max_nodes, {target}, report=on_found,
-          prune=None if top_k is None else prune)
-    return [p for b in sorted(kept) for _, p in kept[b]]
+    _mine([s.cfg for s in samples], positive, min_support, min_nodes, max_nodes,
+          report=on_found, prune=None if top_k is None else prune)
+    ids = [s.id for s in samples]
+    return [_make_pattern(code, held, classes, ids, quality=-neg_q)
+            for b in sorted(kept) for (neg_q, _, code), held in kept[b]]

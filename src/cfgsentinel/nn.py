@@ -314,10 +314,16 @@ class Model:
         return X
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities, one row per sample.  Finite weights can still
+        overflow: that raises ModelIOError, and numpy's warnings are silenced."""
         x = self._prepare(X)
-        for layer in self.layers:
-            x = layer.forward(x, None)[0]  # the cache is dropped at once
-        return softmax(x)
+        with np.errstate(all="ignore"):
+            for layer in self.layers:
+                x = layer.forward(x, None)[0]  # the cache is dropped at once
+            probs = softmax(x)
+        if not np.isfinite(probs).all():
+            raise ModelIOError("model predicts non-finite probabilities")
+        return probs
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
@@ -513,8 +519,11 @@ def train(
         # Every loss above was computed before its step, so the last step can
         # leave weights that predict NaN: the training rows' losses once more,
         # without dropout and in batches, check the model that is returned.
-        final = sum(cross_entropy(model.predict_proba(X[lo : lo + batch_size]),
-                                  y[lo : lo + batch_size]) for lo in range(0, n, batch_size))
+        try:
+            final = sum(cross_entropy(model.predict_proba(X[lo : lo + batch_size]),
+                                      y[lo : lo + batch_size]) for lo in range(0, n, batch_size))
+        except ModelIOError:
+            final = np.nan
         if not np.isfinite(final):
             raise TrainingError("non-finite training loss after the last step")
     for layer in model.layers:

@@ -12,6 +12,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from test_graph import (
     GOOD_GRAPH_DOC, MALFORMED_GRAPH_DOCS, corpus_dir, malformed_manifests,
 )
 from test_mining import GOOD_PATTERN_DOC, MALFORMED_PATTERN_FILES
-from test_nn import MALFORMED_HEADERS, rewrite_header
+from test_nn import MALFORMED_HEADERS, overflowing_model, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -563,12 +564,26 @@ def test_refused_split_writes_nothing(tmp_path, capsys):
     pytest.param(["mine", "--discriminative"], EXIT_USAGE, id="discriminative_only"),
     pytest.param(["mine", "--target", "FamilyA", "--top-k", "3"], EXIT_USAGE,
                  id="top_k_without_discriminative"),
+    # flags `attack` would otherwise ignore; {0} and {1} are pattern files
+    pytest.param(["attack", "--mode", "gea", "--patterns", "{0}"], EXIT_USAGE,
+                 id="patterns_without_sgea"),
+    pytest.param(["attack", "--mode", "sgea", "--patterns", "{0}", "{1}"], EXIT_USAGE,
+                 id="two_pattern_files"),
+    pytest.param(["attack", "--mode", "sgea"], EXIT_MISSING_INPUT, id="sgea_without_patterns"),
+    # numpy seeds its generators with non-negative integers only
+    pytest.param(["train", "--task", "detector", "--seed", "-1"], EXIT_USAGE,
+                 id="train_negative_seed"),
+    pytest.param(["mine", "--target", "FamilyA", "--seed", "-1"], EXIT_USAGE,
+                 id="mine_negative_seed"),
 ])
 def test_flags_are_not_silently_ignored(ws, tmp_path, argv, code):
     command, *flags = argv
+    flags = [f.format(*ws["patterns"]) for f in flags]
     inputs = ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"])]
     if command == "rank":
         inputs += ["--patterns", *map(str, ws["patterns"])]
+    if command == "attack":
+        inputs += ["--model", str(ws["detector"])]
     out = tmp_path / "sub" / "out.json"
     assert _run([command, "--config", str(ws["ini"]), *inputs, *flags,
                  "--out", str(out)])[0] == code
@@ -669,6 +684,27 @@ def test_malformed_checkpoint_header_exit_4(ws, tmp_path, capsys):
                          "--out", str(tmp_path / "v.jsonl")]) == EXIT_BAD_CONFIG, (defect, role)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "pipeline"])
+def test_model_predicting_nan_exit_4(ws, tmp_path, command):
+    # every weight is finite, so the checkpoint loads; its first prediction
+    # is NaN, and no verdict, metric or report is built from it
+    bad = tmp_path / "nan.ckpt"
+    nn.save_checkpoint(overflowing_model("dnn", FEATURE_COUNT, fhmc.DETECTOR_CLASSES), bad)
+    argv = {"eval": ["eval", "--model", str(bad)],
+            "attack": ["attack", "--model", str(bad), "--mode", "gea"],
+            "pipeline": ["pipeline", "--detector", str(bad), "--classifier",
+                         str(ws["classifier"]), "--sbd", str(ws["sbd"]),
+                         "--ranked", str(ws["ranked"])]}[command]
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run([*argv, "--corpus", str(ws["manifest"]), "--splits", str(ws["splits"]),
+                          "--out", str(out)])
+    assert (code, err) == (EXIT_BAD_CONFIG, "error: model predicts non-finite probabilities\n")
+    assert not caught
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 @pytest.mark.parametrize("command, flag, ckpt", [

@@ -424,6 +424,11 @@ def test_encodings_csv_layout():
     assert lines[2] == "s2,0,0,0"
 
 
+def test_encodings_csv_without_patterns_has_only_the_id_column():
+    # what `encode` writes for a ranked file with no families
+    assert encodings_to_csv(["a", "b"], np.zeros((2, 0), dtype=np.uint8)) == "id\na\nb\n"
+
+
 # ---------------------------------------------------------------------------
 # Suspicious-behavior screen
 # ---------------------------------------------------------------------------

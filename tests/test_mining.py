@@ -142,6 +142,13 @@ class TestGspanAgainstBruteForce:
         assert by_code[edge11].support == {"X": 2}
         assert by_code[edge11].supporting_ids == {"X": frozenset({"a", "b"})}
 
+    def test_support_counts_graphs_not_ids(self):
+        # two graphs under one sample id are two graphs of support
+        pats = gspan_mine([path_graph((1, 1)), path_graph((1, 1))], min_support=2,
+                          min_nodes=2, max_nodes=2, classes=["X", "X"], sample_ids=["a", "a"])
+        assert [(p.support, p.supporting_ids) for p in pats] == [
+            ({"X": 2}, {"X": frozenset({"a"})})]
+
     def test_max_nodes_1_mines_no_arc(self):
         # an arc's two vertices are over the band, a self-loop's one is not
         rng = np.random.default_rng(7100)
@@ -263,6 +270,38 @@ def _cut(pool, k: int, per_size: bool):
     return [p for n in sorted(by_size) for p in by_size[n][:k]]
 
 
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hooks_get_the_ascending_graphs_that_hold_a_frequent_code(seed):
+    # support counts only the `counted` graphs, the hooks get all that hold the code
+    rng = np.random.default_rng(seed)
+    graphs = [random_cfg(rng, n_lo=2, n_hi=6, p=1.5, n_labels=2, self_loops=True)
+              for _ in range(int(rng.integers(3, 7)))]
+    counted = [True] + [bool(rng.integers(0, 2)) for _ in graphs[1:]]
+    min_support = int(rng.integers(1, sum(counted) + 1))
+    calls = []
+
+    def hook(kind):
+        def record(code, held):
+            calls.append((kind, code, held))
+            return False  # prune nothing
+        return record
+
+    _mine(graphs, counted, min_support, 1, 4, report=hook("report"), prune=hook("prune"))
+    keys = [set(oracles.brute_force_mine([h], 1, 1, 4)) for h in graphs]
+    reported = {}
+    for kind, code, held in calls:
+        pattern = code_to_graph(code)
+        key = oracles.iso_key(dict(pattern.nodes), set(pattern.edges))
+        assert held == [gi for gi, k in enumerate(keys) if key in k]
+        assert sum(counted[gi] for gi in held) >= min_support
+        if kind == "report":
+            reported[key] = sum(counted[gi] for gi in held)
+    assert [kind for kind, _, _ in calls].count("prune") == len(reported)
+    assert reported == oracles.brute_force_mine(
+        [h for h, c in zip(graphs, counted) if c], min_support, 1, 4)
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
@@ -281,22 +320,21 @@ def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
     events = []
 
     def record(kind, score):
-        def hook(code, gid_sets):
-            a = len(gid_sets.get("Benign", ()))
-            events.append((kind, code, score(a, sum(map(len, gid_sets.values())) - a,
-                                             pos, len(classes) - pos)))
+        def hook(code, held):
+            a = sum(classes[gi] == "Benign" for gi in held)
+            events.append((kind, code, score(a, len(held) - a, pos, len(classes) - pos)))
         return hook
 
     # the uncapped search, in order: its bound at each visit, its reports
-    _mine(graphs, classes, [s.id for s in samples], 2, min_nodes, max_nodes, {"Benign"},
+    _mine(graphs, [c == "Benign" for c in classes], 2, min_nodes, max_nodes,
           report=record("report", cork_quality), prune=record("visit", cork_upper_bound))
     pool = select_discriminative(samples, "Benign", 2, min_nodes, max_nodes)
     visits = []
 
     def recording(*args, prune, **kwargs):  # logs each code the capped prune is asked about
-        def logged(code, gid_sets):
+        def logged(code, held):
             visits.append(code)
-            return prune(code, gid_sets)
+            return prune(code, held)
         _mine(*args, prune=logged, **kwargs)
 
     for k in (1, 2, 3, 5):
@@ -495,15 +533,21 @@ def _mining_trace(seed: int) -> str:
     def sets(gid_sets):
         return sorted((c, sorted(v)) for c, v in gid_sets.items())
 
+    def held_sets(held):  # graph indices as the class -> ids sets above
+        by_class = {}
+        for gi in held:
+            by_class.setdefault(classes[gi], set()).add(ids[gi])
+        return sets(by_class)
+
     events = []
 
-    def visit(code, gid_sets):
-        events.append(("visit", code, sets(gid_sets)))
+    def visit(code, held):
+        events.append(("visit", code, held_sets(held)))
         return False  # prune nothing
 
     _mine(
-        graphs, classes, ids, 2, 1, 5, set(classes),
-        report=lambda code, gid_sets: events.append(("report", code, sets(gid_sets))),
+        graphs, [True] * len(graphs), 2, 1, 5,
+        report=lambda code, held: events.append(("report", code, held_sets(held))),
         prune=visit,
     )
     for p in gspan_mine(graphs, 2, 1, 5, classes=classes, sample_ids=ids):

@@ -466,6 +466,16 @@ class TestLayersMatchCopyingOracles:
         assert same_bits(conv.dW, dW) and same_bits(conv.db, db)
 
 
+def overflowing_model(arch="dnn", width=23, classes=("Benign", "Malware")) -> nn.Model:
+    """A model whose weights are all finite but whose logits overflow to
+    inf - inf: every weight 1e300, the last layer's last row 2e300."""
+    m = nn.build_model(arch, width, classes, seed=0)
+    for p in m.param_arrays():
+        p[...] = 1e300
+    m.param_arrays()[-2][-1] = 2e300
+    return m
+
+
 def rewrite_header(raw: bytes, edit) -> bytes:
     """A checkpoint's bytes with its JSON header replaced by edit(header)."""
     (hlen,) = struct.unpack("<I", raw[8:12])
@@ -567,6 +577,17 @@ class TestCheckpoint:
         p.write_bytes(bytes(raw))
         with pytest.raises(nn.ModelIOError, match="non-finite"):
             nn.load_checkpoint(p)
+
+    @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
+    def test_finite_weights_predicting_nan_raise(self, tmp_path, arch):
+        p = tmp_path / "m.ckpt"
+        nn.save_checkpoint(overflowing_model(arch), p)
+        m = nn.load_checkpoint(p)  # every weight is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy warns of nothing
+            for predict in (m.predict_proba, m.predict, m.predict_class):
+                with pytest.raises(nn.ModelIOError, match="non-finite probabilities"):
+                    predict(np.ones(23))
 
     def test_file_shrinking_during_load_rejected(self, tmp_path, rng, monkeypatch):
         X = rng.uniform(size=(10, 23))
