@@ -145,7 +145,7 @@ def cmd_mine(args, cfg) -> int:
              "max_nodes": _given(args.max_nodes, sec["max_nodes"])}
     group, default_support = samples, 2
     if args.target:
-        target = SampleClass.from_string(args.target)
+        target = SampleClass(args.target)
         group = [s for s in samples if s.cls is target]
         if not group:
             raise corpus.CorpusError(f"no samples of class {args.target}")
@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--splits", default=None)
-    p.add_argument("--target", default=None, help="restrict to one class")
+    p.add_argument("--target", choices=[c.value for c in SampleClass], default=None,
+                   help="restrict to one class")
     p.add_argument("--discriminative", action="store_true")
     p.add_argument("--min-support", type=int, default=None)
     p.add_argument("--min-nodes", type=int, default=None)

@@ -77,6 +77,7 @@ class CorpusConfig:
     )
 
     def validate(self):
+        check_seed(self.seed)
         if self.label_mode not in LABEL_MODES:
             raise CorpusError(f"unknown label mode: {self.label_mode!r}")
         if not (0.0 < self.motif_prob <= 1.0):
@@ -175,6 +176,12 @@ def generate(config: CorpusConfig) -> list[LabeledSample]:
     return samples
 
 
+def check_seed(seed: int) -> None:
+    """The one rule for a seed: numpy's generators take non-negative integers."""
+    if seed < 0:
+        raise CorpusError(f"seed must be a non-negative integer, got {seed}")
+
+
 def check_train_fraction(train_fraction: float) -> None:
     """The one rule for a train fraction: strictly between 0 and 1."""
     if not (0.0 < train_fraction < 1.0):
@@ -187,6 +194,7 @@ def split(samples: Sequence[LabeledSample], train_fraction: float = DEFAULT_TRAI
     and cut at round(train_fraction * n), keeping at least one sample on
     each side.  Classes with fewer than two samples are rejected."""
     check_train_fraction(train_fraction)
+    check_seed(seed)
     by_class: dict[SampleClass, list[LabeledSample]] = {}
     for s in samples:
         by_class.setdefault(s.cls, []).append(s)

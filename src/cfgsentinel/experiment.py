@@ -8,9 +8,8 @@ for byte (crafting-time fields are omitted in this mode).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-import pickle
-import signal
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -219,57 +218,51 @@ def _attack_half(detector, train_s, mal_test, benign_train, attack) -> tuple[lis
 
 def _beside(work: Callable[[], object], main: Callable[[], object]) -> tuple:
     """(main(), work()), with work() in a forked child process while main()
-    runs here; without os.fork, work() runs here after main().  An error in
-    main() kills the child and is raised; an error in work() is raised after
-    main() has returned; a child that ends without a result raises
-    ChildProcessError."""
-    if not hasattr(os, "fork"):
+    runs here; where fork is missing, or in a daemonic multiprocessing
+    worker (which may not start children), work() runs here after main().  An
+    error in main() kills the child and is raised; an error in work() is
+    raised after main() has returned; a child that ends without a result
+    raises ChildProcessError."""
+    if not hasattr(os, "fork") or multiprocessing.current_process().daemon:
         return main(), work()
-    rfd, wfd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that fork() in a process with threads may
-            # deadlock the child.  The only threads here are OpenBLAS's, which
-            # stops its pool around fork() (pthread_atfork) and starts it
-            # again in the child.  (Unverified: this code has run on
-            # Python 3.11 only, which does not warn.)
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                                    r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        # The child leaves only through os._exit, with 0 once the whole
-        # result is written: it must never unwind into its caller's frames,
-        # which are copies of the parent's.
-        code = 1
+    fork = multiprocessing.get_context("fork")
+    results, sender = fork.Pipe(duplex=False)
+
+    def child():
+        # multiprocessing ends the child without returning from start(), so
+        # it never unwinds into its caller's frames, copies of the parent's.
         try:
-            os.close(rfd)
-            try:
-                payload = pickle.dumps((True, work()))
-            except Exception as e:
-                payload = pickle.dumps((False, e))
-            with open(wfd, "wb") as pipe:
-                pipe.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
+            sender.send((True, work()))
+        except Exception as e:
+            sender.send((False, e))
+
+    worker = fork.Process(target=child, name="attack worker")
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns that fork() in a process with threads may
+        # deadlock the child.  The only threads here are OpenBLAS's, which
+        # stops its pool around fork() (pthread_atfork) and starts it
+        # again in the child.  (Unverified: this code has run on
+        # Python 3.11 only, which does not warn.)
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                r"use of fork\(\) may lead to deadlocks", DeprecationWarning)
+        worker.start()
+    sender.close()
     try:
-        with open(rfd, "rb") as pipe:
+        with results:
             here = main()
-            payload = pipe.read()
+            try:
+                ok, value = results.recv()
+            except EOFError:
+                ok = None
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        worker.kill()
         raise
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
+        worker.join()
+    code = worker.exitcode
+    if ok is None or code != 0:
         how = f"signal {-code}" if code < 0 else f"exit code {code}"
         raise ChildProcessError(f"the attack worker ended without a result ({how})")
-    ok, value = pickle.loads(payload)  # bytes our own child wrote
     if not ok:
         raise value
     return here, value

@@ -488,6 +488,8 @@ def train(
         raise TrainingError("X must be 2-D with one label per row")
     if len(X) == 0:
         raise TrainingError("empty training set")
+    if seed < 0:
+        raise TrainingError(f"seed must be a non-negative integer, got {seed}")
     present = set(int(c) for c in np.unique(y))
     for c in range(len(class_names)):
         if c not in present:

@@ -4,9 +4,11 @@ plus the documented exit codes."""
 import ast
 import configparser
 import contextlib
+import hashlib
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import shlex
 import signal
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfgsentinel
-from cfgsentinel import adversarial, experiment, fhmc, mining, nn
+from cfgsentinel import adversarial, corpus, experiment, fhmc, mining, nn
 from cfgsentinel.cli import (
     EXIT_BAD_CONFIG,
     EXIT_MISSING_INPUT,
@@ -535,6 +537,50 @@ def test_killed_worker_raises_child_process_error(tmp_path, monkeypatch, capsys)
     _assert_no_child_left()
 
 
+def _tiny_sections() -> dict:
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(TINY_INI)
+    return {sec: dict(parser[sec]) for sec in parser.sections()}
+
+
+def _tiny_run_digests(out: Path) -> dict[str, str]:
+    experiment.run(out, seed=7, sections=_tiny_sections())
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a fork-context pool needs os.fork")
+def test_repro_in_a_daemonic_worker_writes_the_same_tree(tmp_path):
+    # multiprocessing lets no daemonic process (a Pool worker) start a
+    # child, so there the attack half runs inline after the screen half
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply_async(_tiny_run_digests, (tmp_path / "worker",)).get(timeout=600)
+    _assert_no_child_left()
+    assert in_worker == _tiny_run_digests(tmp_path / "here")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda out: experiment.run(out, -1, _tiny_sections()), corpus.CorpusError,
+                 id="experiment.run"),
+    pytest.param(lambda out: corpus.generate(corpus.CorpusConfig(seed=-1)), corpus.CorpusError,
+                 id="corpus.generate"),
+    pytest.param(lambda out: corpus.split(corpus.generate(corpus.CorpusConfig()), seed=-1),
+                 corpus.CorpusError, id="corpus.split"),
+    pytest.param(lambda out: nn.train(np.ones((4, FEATURE_COUNT)), np.array([0, 1, 0, 1]),
+                                      fhmc.DETECTOR_CLASSES, seed=-1, epochs=1),
+                 nn.TrainingError, id="nn.train"),
+])
+def test_library_refuses_negative_seeds(tmp_path, call, error):
+    # numpy seeds its generators with non-negative integers only; the
+    # library says so before any work, as the CLI's --seed does
+    out = tmp_path / "run"
+    with pytest.raises(error, match="seed must be a non-negative integer, got -1"):
+        call(out)
+    assert not out.exists()
+
+
 def test_refused_split_writes_nothing(tmp_path, capsys):
     ini = tmp_path / "split.ini"
     ini.write_text(TINY_INI.replace("train_fraction = 0.75", "train_fraction = 1.5"))
@@ -564,6 +610,9 @@ def test_refused_split_writes_nothing(tmp_path, capsys):
     pytest.param(["mine", "--discriminative"], EXIT_USAGE, id="discriminative_only"),
     pytest.param(["mine", "--target", "FamilyA", "--top-k", "3"], EXIT_USAGE,
                  id="top_k_without_discriminative"),
+    # a class name is one of the four, spelled as in graph files
+    pytest.param(["mine", "--target", "Foo"], EXIT_USAGE, id="mine_unknown_target"),
+    pytest.param(["mine", "--target", "benign"], EXIT_USAGE, id="mine_lowercase_target"),
     # flags `attack` would otherwise ignore; {0} and {1} are pattern files
     pytest.param(["attack", "--mode", "gea", "--patterns", "{0}"], EXIT_USAGE,
                  id="patterns_without_sgea"),
