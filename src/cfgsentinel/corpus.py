@@ -11,12 +11,12 @@ an independent sub-seed per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, get_type_hints
+from dataclasses import dataclass, field, fields, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import Cfg, LabeledSample, SampleClass, flow_graph
+from .graph import Cfg, LabeledSample, SampleClass, flow_graph, is_count
 
 
 class CorpusError(ValueError):
@@ -177,9 +177,9 @@ def generate(config: CorpusConfig) -> list[LabeledSample]:
 
 
 def check_seed(seed: int) -> None:
-    """The one rule for a seed: numpy's generators take non-negative integers."""
-    if seed < 0:
-        raise CorpusError(f"seed must be a non-negative integer, got {seed}")
+    """The one rule for a seed: numpy's generators take counts (`is_count`)."""
+    if not is_count(seed):
+        raise CorpusError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_train_fraction(train_fraction: float) -> None:
@@ -218,35 +218,38 @@ def split(samples: Sequence[LabeledSample], train_fraction: float = DEFAULT_TRAI
     return train, test
 
 
-# Settable keys: the scalar fields of CorpusConfig, and "<tag>_<field>" for
-# every ClassProfile field; each value is cast with its field's type.
-_SCALAR_TYPES = {k: t for k, t in get_type_hints(CorpusConfig).items() if k != "profiles"}
-_PROFILE_TYPES = get_type_hints(ClassProfile)
+def parse_value(raw, default, what: str):
+    """The one rule for a setting's value: the text of `raw` read with the
+    type of the key's `default` (so 3.7 or True is no int).  Text that does
+    not parse and floats that are not finite raise CorpusError."""
+    try:
+        value = type(default)(str(raw))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError
+    except ValueError:
+        raise CorpusError(f"bad value for {what}: {raw!r}") from None
+    return value
 
 
-def config_from_mapping(items: Mapping[str, str]) -> CorpusConfig:
-    """Build a CorpusConfig from flat string key/value pairs (e.g. an INI
-    section).  Unknown keys, values that do not parse and floats that are
-    not finite are rejected."""
+def config_from_mapping(items: Mapping[str, object]) -> CorpusConfig:
+    """Build a CorpusConfig from flat key/value pairs (e.g. an INI section):
+    each scalar field of CorpusConfig, and "<tag>_<field>" for each
+    ClassProfile field, read by `parse_value` with its default.  Unknown
+    keys are rejected."""
     cfg = CorpusConfig()
     profiles = dict(cfg.profiles)
-    scalar: dict[str, object] = {}
-    for key, value in items.items():
+    scalars = {f.name for f in fields(CorpusConfig)} - {"profiles"}
+    knobs = {f.name for f in fields(ClassProfile)}
+    for key, raw in items.items():
         tag, _, name = key.partition("_")
         cls = _TAG_CLASS.get(tag)
-        cast = _SCALAR_TYPES.get(key) or (_PROFILE_TYPES.get(name) if cls else None)
-        if cast is None:
-            raise CorpusError(f"unknown corpus config key: {key}")
-        try:
-            value = cast(value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise CorpusError(f"bad value for {key}: {value!r}") from None
-        if key in _SCALAR_TYPES:
-            scalar[key] = value
-        else:
+        if key in scalars:
+            cfg = replace(cfg, **{key: parse_value(raw, getattr(cfg, key), key)})
+        elif cls and name in knobs:
+            value = parse_value(raw, getattr(profiles[cls], name), key)
             profiles[cls] = replace(profiles[cls], **{name: value})
-    out = replace(cfg, profiles=profiles, **scalar)
+        else:
+            raise CorpusError(f"unknown corpus config key: {key}")
+    out = replace(cfg, profiles=profiles)
     out.validate()
     return out

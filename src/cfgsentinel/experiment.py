@@ -7,11 +7,11 @@ for byte (crafting-time fields are omitted in this mode).
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -23,9 +23,9 @@ from .graph import GraphError, LabeledSample, SampleClass, indented_json, read_j
 Sections = Mapping[str, Mapping[str, object]]
 
 # The INI schema of `run` and the CLI: section -> key -> default.  A value is
-# parsed with its default's type; `[corpus]` items are checked by
-# `corpus.config_from_mapping` instead.  The seed is not a setting: it is
-# `run`'s `seed` argument and the CLI's `--seed`.
+# read with its default's type (`corpus.parse_value`); `[corpus]` items are
+# checked by `corpus.config_from_mapping` instead.  The seed is not a
+# setting: it is `run`'s `seed` argument and the CLI's `--seed`.
 DEFAULTS: dict[str, dict[str, object]] = {
     "split": {"train_fraction": corpus.DEFAULT_TRAIN_FRACTION},
     "train": {"arch": "cnn", "epochs": nn.DEFAULT_EPOCHS, "batch_size": nn.DEFAULT_BATCH_SIZE,
@@ -51,10 +51,11 @@ DEFAULTS: dict[str, dict[str, object]] = {
 
 
 def settings(sections: Sections) -> dict[str, dict[str, object]]:
-    """Every schema value: `sections` (INI strings, or values already of the
-    default's type) over `DEFAULTS`, plus the raw `[corpus]` items.  Raises
-    CorpusError on an unknown section or key (`[corpus] seed` included) or
-    a value that does not parse, is not finite or is out of its range."""
+    """Every schema value: `sections` (INI strings, or values that read back
+    as the default's type, so `settings` takes its own output) over
+    `DEFAULTS`, plus the raw `[corpus]` items.  Raises CorpusError on an
+    unknown section or key (`[corpus] seed` included) or a value that
+    `corpus.parse_value` refuses or that is out of its range."""
     unknown = sorted(set(sections) - set(DEFAULTS) - {"corpus"})
     if unknown:
         raise corpus.CorpusError(f"unknown config section: [{unknown[0]}]")
@@ -68,12 +69,7 @@ def settings(sections: Sections) -> dict[str, dict[str, object]]:
         for key, raw in sections.get(sec, {}).items():
             if key not in defaults:
                 raise corpus.CorpusError(f"unknown config key: [{sec}] {key}")
-            try:
-                values[key] = type(defaults[key])(raw)
-                if isinstance(values[key], float) and not math.isfinite(values[key]):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise corpus.CorpusError(f"bad value for [{sec}] {key}: {raw!r}") from None
+            values[key] = corpus.parse_value(raw, defaults[key], f"[{sec}] {key}")
     corpus.check_train_fraction(out["split"]["train_fraction"])
     t, m, r, a = (out[sec] for sec in ("train", "mining", "rank", "attack"))
     rules = [
@@ -131,7 +127,7 @@ def make_corpus(cfg: Sections, seed: int, corpus_dir: Path, splits_path: Path):
     """Generate the `[corpus]` corpus for `seed` into `corpus_dir` and its
     `[split]` train/test split into `splits_path`, both as settled by
     `settings`; returns (samples, train, test)."""
-    samples = corpus.generate(corpus.config_from_mapping(dict(cfg["corpus"], seed=str(seed))))
+    samples = corpus.generate(replace(corpus.config_from_mapping(cfg["corpus"]), seed=seed))
     train_s, test_s = corpus.split(samples, cfg["split"]["train_fraction"], seed)
     write_corpus(samples, corpus_dir)
     write_json(splits_path, {"train": [s.id for s in train_s], "test": [s.id for s in test_s]})

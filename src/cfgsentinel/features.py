@@ -132,7 +132,12 @@ def _shortest_paths(g: Cfg) -> _Paths:
 
     The dependency pass keeps no predecessor lists: a predecessor u of w lies
     on a shortest path from the source when dist[u] == dist[w] - 1.  Each
-    delta[u] still takes its terms in reversed BFS order of w."""
+    delta[u] still takes its terms in reversed BFS order of w.
+
+    Path counts are exact ints, as in Brandes, "A faster algorithm for
+    betweenness centrality" (J. Math. Sociol. 2001): k chained diamonds
+    hold 2**k shortest paths, past a float's range from k = 1024.  Below
+    2**53 float counts are exact too, so the results are the same."""
     view = g.view
     nodes, succ, pred = view.ids, view.succ, view.pred
     n = len(nodes)
@@ -142,9 +147,9 @@ def _shortest_paths(g: Cfg) -> _Paths:
     for s in range(n):
         # single-source shortest paths with path counting
         dist = [-1] * n
-        sigma = [0.0] * n
+        sigma = [0] * n
         dist[s] = 0
-        sigma[s] = 1.0
+        sigma[s] = 1
         # `order` is both the visiting order and the BFS queue: iterating a
         # list reaches the entries appended during the loop
         order = [s]

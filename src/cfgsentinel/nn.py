@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import parse_json
+from .graph import is_count, parse_json
 
 CHECKPOINT_MAGIC = b"CFGSENT1"
 
@@ -481,15 +481,23 @@ def train(
 ) -> Model:
     """Train a detector/classifier on raw feature rows.  Fits the min-max
     scaler on X, then runs seeded shuffled mini-batch Adam.  The same seed
-    and data reproduce the final weights bit for bit."""
+    and data reproduce the final weights bit for bit.  The arguments follow
+    the `[train]` rules of `experiment.settings` and the seed is a count
+    (`is_count`); anything else raises TrainingError before any work."""
+    if not is_count(seed):
+        raise TrainingError(f"seed must be a non-negative integer, got {seed!r}")
+    if arch not in ARCHITECTURES:
+        raise TrainingError(f"unknown architecture: {arch!r}")
+    if not (is_count(epochs) and is_count(batch_size) and min(epochs, batch_size) >= 1):
+        raise TrainingError("epochs and batch_size must be integers >= 1")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise TrainingError(f"lr must be a finite number > 0, got {lr!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError("X must be 2-D with one label per row")
     if len(X) == 0:
         raise TrainingError("empty training set")
-    if seed < 0:
-        raise TrainingError(f"seed must be a non-negative integer, got {seed}")
     present = set(int(c) for c in np.unique(y))
     for c in range(len(class_names)):
         if c not in present:
@@ -630,16 +638,15 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
-# Header key -> check of its JSON value (`type(v) is int` excludes bools).
+# Header key -> check of its JSON value; counts follow `is_count`.
 _HEADER_FIELDS = {
     "arch": lambda v: v in ARCHITECTURES,
-    "input_width": lambda v: type(v) is int and v >= 1,
-    "num_classes": lambda v: type(v) is int and v >= 1,
+    "input_width": lambda v: is_count(v) and v >= 1,
+    "num_classes": lambda v: is_count(v) and v >= 1,
     "class_names": lambda v: type(v) is list and all(type(c) is str for c in v),
     "scaler": lambda v: type(v) is bool,
-    "shapes": lambda v: type(v) is list and all(
-        type(s) is list and all(type(n) is int and n >= 0 for n in s) for s in v
-    ),
+    "shapes": lambda v: type(v) is list and all(type(s) is list and all(map(is_count, s))
+                                                for s in v),
 }
 
 

@@ -102,6 +102,18 @@ def transitive_dag(n: int, label=0) -> Cfg:
     )
 
 
+def diamond_ladder(k: int) -> Cfg:
+    """k diamonds in a chain, stage i being 3i -> 3i+1, 3i+2 -> 3i+3: 3k+1
+    nodes, 4k arcs and 2**k shortest paths from 0 to 3k."""
+    return Cfg(
+        nodes=tuple((i, 0) for i in range(3 * k + 1)),
+        edges=frozenset(arc for a in range(0, 3 * k, 3)
+                        for arc in ((a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3))),
+        entry=0,
+        exits=frozenset({3 * k}),
+    )
+
+
 def star_graph(k=3) -> Cfg:
     """Center 0 pointing at k leaves, and each leaf pointing back."""
     nodes = tuple((i, 0) for i in range(k + 1))

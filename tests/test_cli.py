@@ -10,6 +10,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -35,7 +36,7 @@ from cfgsentinel.cli import (
 from cfgsentinel.features import FEATURE_COUNT
 from cfgsentinel.graph import GraphError, LabeledSample, SampleClass, read_corpus, write_corpus
 
-from conftest import TINY_INI, cycle_graph, subprocess_env, transitive_dag
+from conftest import TINY_INI, cycle_graph, diamond_ladder, subprocess_env, transitive_dag
 from fuzz import FUZZ, documents
 from test_fhmc import GOOD_RANKED_DOC, MALFORMED_RANKED_FILES
 from test_graph import (
@@ -562,23 +563,48 @@ def test_repro_in_a_daemonic_worker_writes_the_same_tree(tmp_path):
 
 
 @pytest.mark.parametrize("call, error", [
-    pytest.param(lambda out: experiment.run(out, -1, _tiny_sections()), corpus.CorpusError,
-                 id="experiment.run"),
-    pytest.param(lambda out: corpus.generate(corpus.CorpusConfig(seed=-1)), corpus.CorpusError,
-                 id="corpus.generate"),
-    pytest.param(lambda out: corpus.split(corpus.generate(corpus.CorpusConfig()), seed=-1),
+    pytest.param(lambda out, seed: experiment.run(out, seed, _tiny_sections()),
+                 corpus.CorpusError, id="experiment.run"),
+    pytest.param(lambda out, seed: corpus.generate(corpus.CorpusConfig(seed=seed)),
+                 corpus.CorpusError, id="corpus.generate"),
+    pytest.param(lambda out, seed: corpus.split(corpus.generate(corpus.CorpusConfig()),
+                                                seed=seed),
                  corpus.CorpusError, id="corpus.split"),
-    pytest.param(lambda out: nn.train(np.ones((4, FEATURE_COUNT)), np.array([0, 1, 0, 1]),
-                                      fhmc.DETECTOR_CLASSES, seed=-1, epochs=1),
+    pytest.param(lambda out, seed: nn.train(np.ones((4, FEATURE_COUNT)), np.array([0, 1, 0, 1]),
+                                            fhmc.DETECTOR_CLASSES, seed=seed, epochs=1),
                  nn.TrainingError, id="nn.train"),
 ])
 def test_library_refuses_negative_seeds(tmp_path, call, error):
-    # numpy seeds its generators with non-negative integers only; the
-    # library says so before any work, as the CLI's --seed does
+    # numpy seeds its generators with non-negative integers only, and a seed
+    # is a count (`graph.is_count`); the library says so before any work, as
+    # the CLI's --seed does
     out = tmp_path / "run"
-    with pytest.raises(error, match="seed must be a non-negative integer, got -1"):
-        call(out)
-    assert not out.exists()
+    for seed in (-1, 1.5, "3", None, True):
+        with pytest.raises(error, match=re.escape(
+                f"seed must be a non-negative integer, got {seed!r}")):
+            call(out, seed)
+        assert not out.exists()
+
+
+def test_settings_read_each_value_with_its_defaults_type():
+    # `settings` takes its own output, as `repro` and then `run` check it
+    tiny = experiment.settings(_tiny_sections())
+    assert experiment.settings(tiny) == tiny
+    # INI strings and values that read back as the key's type pass, an int
+    # for a float key too
+    got = experiment.settings({"train": {"epochs": 3, "lr": 1, "batch_size": "4"},
+                               "corpus": {"benign_count": 10}})
+    assert got["train"] == dict(experiment.DEFAULTS["train"], epochs=3, lr=1.0, batch_size=4)
+    assert type(got["train"]["lr"]) is float
+    # an int key takes no float or bool, a float key no bool
+    for sec, key, value in [("train", "epochs", 3.7), ("rank", "k", True),
+                            ("attack", "sgea_per_size", 4.0), ("train", "lr", True),
+                            ("encode", "budget_seconds", True)]:
+        with pytest.raises(corpus.CorpusError,
+                           match=re.escape(f"bad value for [{sec}] {key}: {value!r}")):
+            experiment.settings({sec: {key: value}})
+    with pytest.raises(corpus.CorpusError, match=re.escape("bad value for benign_count: 2.9")):
+        experiment.settings({"corpus": {"benign_count": 2.9}})
 
 
 def test_refused_split_writes_nothing(tmp_path, capsys):
@@ -805,6 +831,18 @@ def test_malformed_graph_document_exit_5(tmp_path, capsys):
         assert code == EXIT_RUNTIME, defect
         assert err.startswith("error: ") and "Traceback" not in err, defect
         assert not (root / "f.csv").exists()
+
+
+def test_features_of_a_diamond_ladder_exit_0(tmp_path, capsys):
+    # 2**1030 shortest paths, which overflow a float path count
+    sample = LabeledSample(id="ladder", cfg=diamond_ladder(1030), cls=SampleClass.BENIGN)
+    write_corpus([sample], tmp_path / "corpus")
+    out = tmp_path / "f.csv"
+    assert main(["features", "--corpus", str(tmp_path / "corpus" / "manifest.json"),
+                 "--out", str(out)]) == EXIT_OK
+    cells = out.read_text().splitlines()[1].split(",")[1:]
+    assert len(cells) == FEATURE_COUNT and np.isfinite(np.array(cells, dtype=float)).all()
+    capsys.readouterr()
 
 
 def test_task_without_samples_exit_5(ws, tmp_path, capsys):

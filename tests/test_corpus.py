@@ -1,5 +1,8 @@
 import hashlib
+import re
 from collections import Counter
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -181,6 +184,31 @@ class TestConfig:
     def test_mapping_rejects_bad_value(self):
         with pytest.raises(CorpusError):
             config_from_mapping({"seed": "xyz"})
+
+    def test_mapping_reads_each_value_with_its_defaults_type(self):
+        # A key's type is its default's, so each default holds a value of
+        # its field's annotated type.
+        hints = get_type_hints(ClassProfile)
+        for profile in DEFAULT_PROFILES.values():
+            assert all(type(getattr(profile, f.name)) is hints[f.name]
+                       for f in fields(ClassProfile))
+        hints = get_type_hints(CorpusConfig)
+        assert all(type(getattr(CorpusConfig(), f.name)) is hints[f.name]
+                   for f in fields(CorpusConfig) if f.name != "profiles")
+        # INI strings and values that read back as the key's type pass, an
+        # int for a float key too
+        cfg = config_from_mapping({"seed": 7, "motif_prob": 1, "benign_count": "10",
+                                   "familyA_node_hi": 20, "familyC_back_edges": "0.5"})
+        assert (cfg.seed, cfg.motif_prob) == (7, 1.0) and type(cfg.motif_prob) is float
+        assert cfg.profiles[SampleClass.BENIGN].count == 10
+        assert cfg.profiles[SampleClass.FAMILY_A].node_hi == 20
+        assert cfg.profiles[SampleClass.FAMILY_C].back_edges == 0.5
+        # an int key takes no float or bool, a float key no bool
+        for key, value in [("benign_count", 3.7), ("benign_count", 2.9), ("seed", True),
+                           ("familyB_node_lo", 16.0), ("motif_prob", True),
+                           ("familyA_self_loops", True)]:
+            with pytest.raises(CorpusError, match=re.escape(f"bad value for {key}: {value!r}")):
+                config_from_mapping({key: value})
 
 
 # Digests of the golden TINY runs (see conftest), recorded before pattern

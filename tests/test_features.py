@@ -22,7 +22,7 @@ from cfgsentinel.features import (
     summary_stats,
 )
 from cfgsentinel.graph import Cfg
-from conftest import cycle_graph, path_graph, random_cfg, star_graph
+from conftest import cycle_graph, diamond_ladder, path_graph, random_cfg, star_graph
 import oracles
 
 
@@ -243,6 +243,17 @@ class TestExtractFeatures:
                 entry=0, exits=frozenset({0}))
         v = extract_features(g)
         assert np.all(np.isfinite(v))
+
+    def test_exact_path_counts_past_float_range(self):
+        # 2**1030 shortest paths overflow a float count.  Junction 3j cuts
+        # every path from the 3j nodes before it to the 3(k - j) after it,
+        # so the middle junction's betweenness is 9 (k/2)**2 over the
+        # normalization (n - 1)(n - 2).
+        k = 1030
+        v = feat(diamond_ladder(k))
+        assert all(math.isfinite(x) for x in v.values())
+        assert v["betweenness_max"] == 9 * (k // 2) ** 2 / (3 * k * (3 * k - 1))
+        assert (v["node_count"], v["edge_count"]) == (3 * k + 1, 4 * k)
 
     def test_always_finite_on_random_graphs(self, rng):
         for _ in range(150):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import sys
 import tracemalloc
@@ -223,6 +224,24 @@ class TestTraining:
         X = np.zeros((4, 23))
         with pytest.raises(nn.TrainingError):
             nn.train(X, np.zeros(3, dtype=int), ("a", "b"), epochs=1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"arch": "rnn"}, "unknown architecture: 'rnn'", id="arch"),
+        pytest.param({"epochs": 0}, "epochs and batch_size", id="no_epochs"),
+        pytest.param({"epochs": -2}, "epochs and batch_size", id="negative_epochs"),
+        pytest.param({"epochs": 2.5}, "epochs and batch_size", id="float_epochs"),
+        pytest.param({"batch_size": 0}, "epochs and batch_size", id="no_batch"),
+        pytest.param({"lr": 0.0}, "lr must be", id="zero_lr"),
+        pytest.param({"lr": -1e-3}, "lr must be", id="negative_lr"),
+        pytest.param({"lr": math.nan}, "lr must be", id="nan_lr"),
+        pytest.param({"lr": math.inf}, "lr must be", id="inf_lr"),
+    ])
+    def test_bad_arguments_refused_before_any_work(self, monkeypatch, kwargs, message):
+        # the `[train]` rules of `experiment.settings`, for library callers
+        monkeypatch.setattr(nn, "build_model", lambda *a: pytest.fail("training started"))
+        X, y = self.separable_toy(8)
+        with pytest.raises(nn.TrainingError, match=message):
+            nn.train(X, y, ("n", "p"), **kwargs)
 
     @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
     def test_divergence_raises_only_training_error(self, arch):

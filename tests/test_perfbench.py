@@ -1,12 +1,15 @@
 """The benchmark's traced run wraps library functions by name
 (`perfbench/layers.instrument`).  A rename in the library would break only
 that run, so this checks every patch point in-process: each wraps at least
-one site, and `restore` puts every original back."""
+one site, and `restore` puts every original back.  The benchmark also
+restates the settings of its profile, which must be the library's."""
 
 import sys
 from pathlib import Path
 
 import pytest
+
+from cfgsentinel import experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PATCH_POINTS = 21
@@ -54,3 +57,32 @@ def test_every_patch_point_wraps_a_site_and_is_restored(perfbench_modules):
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert not moved
+
+
+def test_restated_settings_are_the_librarys(monkeypatch):
+    # `mine` and the count checks read these constants, not `experiment.run`'s
+    # settings, so a changed library default must fail here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    try:
+        cfg = experiment.settings(workloads.SECTIONS)
+        restated = {
+            ("train", "epochs"): workloads.EPOCHS,
+            ("train", "batch_size"): workloads.BATCH,
+            ("split", "train_fraction"): workloads.SPLIT,
+            ("mining", "min_nodes"): workloads.MIN_NODES,
+            ("mining", "max_nodes"): workloads.MAX_NODES,
+            ("mining", "support_fraction"): workloads.MINE_FRACTION,
+            ("rank", "support_fraction"): workloads.RANK_FRACTION,
+            ("rank", "k"): workloads.TOP_K,
+            ("rank", "benign_ceiling"): workloads.CEILING,
+            ("encode", "budget_seconds"): workloads.BUDGET,
+            ("attack", "sgea_min_nodes"): workloads.SGEA_LO,
+            ("attack", "sgea_max_nodes"): workloads.SGEA_HI,
+            ("attack", "sgea_per_size"): workloads.SGEA_PER_SIZE,
+            ("attack", "sgea_support_fraction"): workloads.SGEA_FRACTION,
+        }
+        assert {key: cfg[key[0]][key[1]] for key in restated} == restated
+    finally:
+        sys.modules.pop("workloads", None)
