@@ -155,7 +155,7 @@ def cmd_mine(args, cfg) -> int:
         patterns = mining.select_discriminative(
             samples, target, min_support=min_support, top_k=args.top_k, **nodes)
     else:
-        patterns = fhmc.mine_samples(group, min_support, **nodes)
+        patterns = mining.gspan_mine(group, min_support, **nodes)
     mining.write_patterns(patterns, Path(args.out))
     print(f"mined {len(patterns)} patterns to {args.out}")
     return EXIT_OK

@@ -216,13 +216,6 @@ def class_groups(samples: Sequence[LabeledSample]):
     return benign, {f.value: [s for s in samples if s.cls is f] for f in FAMILIES}
 
 
-def mine_samples(samples: Sequence[LabeledSample], min_support: int, min_nodes: int,
-                 max_nodes: int) -> list[Pattern]:
-    """`gspan_mine` over the samples' graphs, with their classes and ids."""
-    return gspan_mine([s.cfg for s in samples], min_support, min_nodes, max_nodes,
-                      [s.cls.value for s in samples], [s.id for s in samples])
-
-
 def mine_family_candidates(
     train: Sequence[LabeledSample],
     min_nodes: int = DEFAULT_MIN_NODES,
@@ -231,7 +224,7 @@ def mine_family_candidates(
 ) -> dict[str, list[Pattern]]:
     """Mine candidate patterns from each family's training samples."""
     return {
-        fam: mine_samples(group, support_floor(len(group), support_fraction), min_nodes, max_nodes)
+        fam: gspan_mine(group, support_floor(len(group), support_fraction), min_nodes, max_nodes)
         for fam, group in class_groups(train)[1].items() if group
     }
 

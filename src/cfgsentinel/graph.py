@@ -288,8 +288,10 @@ def save_graph(g: Cfg, path: str | Path) -> None:
 # DOT subset importer
 # ---------------------------------------------------------------------------
 
-_DOT_EDGE = re.compile(r"^\s*(\d+(?:\s*->\s*\d+)+)\s*(\[[^\]]*\])?\s*;?\s*$")
-_DOT_NODE = re.compile(r"^\s*(\d+)\s*(\[[^\]]*\])?\s*;?\s*$")
+# Matched in full against a statement that is stripped and split at ";", so
+# no two adjacent \s* can backtrack against each other.
+_DOT_EDGE = re.compile(r"(\d+(?:\s*->\s*\d+)+)\s*(\[[^\]]*\])?")
+_DOT_NODE = re.compile(r"(\d+)\s*(\[[^\]]*\])?")
 _DOT_LABEL = re.compile(r"label\s*=\s*\"?(\d+)\"?")
 
 
@@ -300,10 +302,15 @@ def parse_dot(text: str) -> Cfg:
     all other attributes are ignored.  Entry and exits follow `flow_graph`,
     over the nodes in order of first mention.
     """
+    # the body runs from the first "{" after the leftmost digraph keyword to
+    # the last "}": string searches, as one regex tried from every keyword
+    # is quadratic in repeated keywords
     body = text
-    m = re.search(r"digraph\b[^{]*\{(.*)\}", text, re.DOTALL)
-    if m:
-        body = m.group(1)
+    head = re.search(r"digraph\b", text)
+    start = text.find("{", head.end()) if head else -1
+    end = text.rfind("}")
+    if -1 < start < end:
+        body = text[start + 1:end]
     elif "{" in text or "graph" in text:
         raise GraphError("not a digraph document")
 
@@ -328,7 +335,7 @@ def parse_dot(text: str) -> Cfg:
             stmt = stmt.strip()
             if not stmt:
                 continue
-            em = _DOT_EDGE.match(stmt)
+            em = _DOT_EDGE.fullmatch(stmt)
             if em:
                 chain = [int(tok) for tok in re.split(r"\s*->\s*", em.group(1))]
                 for u, v in zip(chain, chain[1:]):
@@ -336,7 +343,7 @@ def parse_dot(text: str) -> Cfg:
                     note(v, None)
                     edges.add((u, v))
                 continue
-            nm = _DOT_NODE.match(stmt)
+            nm = _DOT_NODE.fullmatch(stmt)
             if nm:
                 note(int(nm.group(1)), nm.group(2))
                 continue

@@ -26,13 +26,11 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import (Cfg, GraphError, GraphView, SampleClass, flow_graph, graph_doc,
-                    indented_json, is_count, read_json)
+from .graph import (Cfg, GraphError, GraphView, LabeledSample, SampleClass, flow_graph,
+                    graph_doc, indented_json, is_count, read_json)
 
 Entry = tuple[int, int, int, int, int]
 Code = tuple[Entry, ...]
-
-ALL_CLASS = "all"
 
 
 class MiningError(ValueError):
@@ -409,28 +407,17 @@ def _make_pattern(code: Code, held: Sequence[int], classes: Sequence[str],
                    supporting_ids={c: frozenset(v) for c, v in ids.items()})
 
 
-def gspan_mine(
-    graphs: Sequence[Cfg],
-    min_support: int,
-    min_nodes: int,
-    max_nodes: int,
-    classes: Sequence[str] | None = None,
-    sample_ids: Sequence[str] | None = None,
-) -> list[Pattern]:
-    """All frequent connected patterns with node counts in
-    [min_nodes, max_nodes], each reported once per isomorphism class with
-    per-class support counts.  Support is the number of distinct corpus
-    graphs containing the pattern; its supporting ids name them."""
-    if classes is None:
-        classes = [ALL_CLASS] * len(graphs)
-    if sample_ids is None:
-        sample_ids = [str(i) for i in range(len(graphs))]
-    if len(classes) != len(graphs) or len(sample_ids) != len(graphs):
-        raise MiningError("classes/sample_ids must parallel graphs")
+def gspan_mine(samples: Sequence[LabeledSample], min_support: int, min_nodes: int,
+               max_nodes: int) -> list[Pattern]:
+    """All frequent connected patterns of the samples' graphs with node
+    counts in [min_nodes, max_nodes], each reported once per isomorphism
+    class with per-class support counts.  Support is the number of distinct
+    graphs containing the pattern; its supporting ids name their samples."""
+    classes = [s.cls.value for s in samples]
+    ids = [s.id for s in samples]
     patterns: list[Pattern] = []
-    _mine(graphs, [True] * len(graphs), min_support, min_nodes, max_nodes,
-          report=lambda code, held: patterns.append(
-              _make_pattern(code, held, classes, sample_ids)))
+    _mine([s.cfg for s in samples], [True] * len(samples), min_support, min_nodes, max_nodes,
+          report=lambda code, held: patterns.append(_make_pattern(code, held, classes, ids)))
     patterns.sort(key=lambda p: (p.node_count, p.code))
     return patterns
 
@@ -455,7 +442,7 @@ def cork_upper_bound(pos_hit: int, neg_hit: int, pos_total: int, neg_total: int)
 
 
 def select_discriminative(
-    samples: Sequence,  # Sequence[LabeledSample]
+    samples: Sequence[LabeledSample],
     target_class: SampleClass | str,
     min_support: int,
     min_nodes: int,

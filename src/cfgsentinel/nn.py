@@ -483,7 +483,9 @@ def train(
     scaler on X, then runs seeded shuffled mini-batch Adam.  The same seed
     and data reproduce the final weights bit for bit.  The arguments follow
     the `[train]` rules of `experiment.settings` and the seed is a count
-    (`is_count`); anything else raises TrainingError before any work."""
+    (`is_count`).  The class names are at least two strings, X is finite,
+    the labels are integers naming every class, and the rows are wide
+    enough for `arch`; anything else raises TrainingError before any work."""
     if not is_count(seed):
         raise TrainingError(f"seed must be a non-negative integer, got {seed!r}")
     if arch not in ARCHITECTURES:
@@ -492,18 +494,30 @@ def train(
         raise TrainingError("epochs and batch_size must be integers >= 1")
     if not (lr > 0 and math.isfinite(lr)):
         raise TrainingError(f"lr must be a finite number > 0, got {lr!r}")
+    if not (len(class_names) >= 2 and all(type(c) is str for c in class_names)):
+        raise TrainingError("class_names must be at least two strings")
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError("X must be 2-D with one label per row")
-    if len(X) == 0:
+    if X.size == 0:  # no rows, or rows of no feature
         raise TrainingError("empty training set")
+    # min and max are NaN if any element is; no full-size mask is made
+    if not (math.isfinite(X.min()) and math.isfinite(X.max())):
+        raise TrainingError("X must be finite")
+    if y.dtype.kind not in "iu":
+        raise TrainingError(f"labels must be integers, got dtype {y.dtype}")
+    y = y.astype(np.int64)
     present = set(int(c) for c in np.unique(y))
     for c in range(len(class_names)):
         if c not in present:
             raise TrainingError(f"class {class_names[c]!r} has no training samples")
     if not present <= set(range(len(class_names))):
         raise TrainingError("label outside class range")
+    try:
+        _layer_plan(arch, X.shape[1], len(class_names))
+    except ModelIOError as e:  # the rows are too narrow for the stack
+        raise TrainingError(str(e)) from None
 
     model = build_model(arch, X.shape[1], class_names, seed)
     rng = np.random.default_rng(seed + 1)
@@ -642,7 +656,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 _HEADER_FIELDS = {
     "arch": lambda v: v in ARCHITECTURES,
     "input_width": lambda v: is_count(v) and v >= 1,
-    "num_classes": lambda v: is_count(v) and v >= 1,
+    "num_classes": lambda v: is_count(v) and v >= 2,
     "class_names": lambda v: type(v) is list and all(type(c) is str for c in v),
     "scaler": lambda v: type(v) is bool,
     "shapes": lambda v: type(v) is list and all(type(s) is list and all(map(is_count, s))
@@ -689,10 +703,7 @@ def _read_checkpoint(f) -> Model:
         raise ModelIOError("checkpoint shapes do not match the architecture's shape chain")
     if size != 12 + hlen + 8 * sum(math.prod(shape) for shape in expected):
         raise ModelIOError("checkpoint payload length does not match its shapes")
-    try:
-        model = _build_model(header["arch"], width, class_names, rng=None)
-    except ValueError as e:
-        raise ModelIOError(f"checkpoint header describes no model: {e}") from None
+    model = _build_model(header["arch"], width, class_names, rng=None)
     arrays = model.param_arrays()
     if header["scaler"]:
         model.scaler_min, model.scaler_max = np.empty(width), np.empty(width)

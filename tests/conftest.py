@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfgsentinel.graph import Cfg
+from cfgsentinel.graph import Cfg, LabeledSample, SampleClass
 
 
 def random_cfg(rng: np.random.Generator, n_lo=2, n_hi=8, p=0.35,
@@ -55,6 +55,15 @@ def relabeled(g: Cfg, rng: np.random.Generator, shuffle: bool = False) -> Cfg:
         nodes = [nodes[k] for k in rng.permutation(len(nodes))]
     return Cfg(nodes=tuple(nodes), edges=frozenset((new[u], new[v]) for u, v in g.edges),
                entry=new[g.entry], exits=frozenset(new[x] for x in g.exits))
+
+
+def as_samples(graphs, classes=None, ids=None) -> list[LabeledSample]:
+    """The graphs as samples of the named classes (default all "Benign"),
+    with the given ids (default their positions)."""
+    classes = classes or ["Benign"] * len(graphs)
+    ids = ids or [str(i) for i in range(len(graphs))]
+    return [LabeledSample(id=i, cfg=g, cls=SampleClass(c))
+            for i, g, c in zip(ids, graphs, classes, strict=True)]
 
 
 def subprocess_env(**extra: str) -> dict[str, str]:

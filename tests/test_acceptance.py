@@ -23,7 +23,7 @@ from cfgsentinel.isomorphism import is_subgraph, match_count
 from cfgsentinel.mining import gspan_mine, select_discriminative
 
 import oracles
-from conftest import TINY_INI, path_graph, random_cfg, tiny_cfg
+from conftest import TINY_INI, as_samples, path_graph, random_cfg, tiny_cfg
 from test_nn import finite_difference_check
 
 # Pinned tolerances and thresholds -------------------------------------------
@@ -76,7 +76,7 @@ def test_criterion_01_mining_matches_exhaustive_baseline():
         graphs = [tiny_cfg(rng, max_nodes=6, n_labels=2)
                   for _ in range(int(rng.integers(4, 11)))]
         min_sup = int(rng.integers(2, len(graphs) + 1))
-        mined = gspan_mine(graphs, min_support=min_sup, min_nodes=1, max_nodes=4)
+        mined = gspan_mine(as_samples(graphs), min_support=min_sup, min_nodes=1, max_nodes=4)
         want = oracles.brute_force_mine(graphs, min_sup, 1, 4)
         got = {}
         for p in mined:

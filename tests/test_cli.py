@@ -520,6 +520,18 @@ def test_screen_error_leaves_no_attack_files(tmp_path, monkeypatch, capsys):
     assert not (out / "attacks").exists()
 
 
+def test_screen_rows_too_narrow_for_the_cnn_exit_5(tmp_path, capsys):
+    # `[rank] k = 2` ranks at most 6 patterns, and the screen's cnn needs 10
+    # bits: a training error, not a checkpoint one
+    ini = tmp_path / "k2.ini"
+    ini.write_text(TINY_INI.replace("[rank]\nk = 8\n", "[rank]\nk = 2\n"))
+    assert main(["repro", "--config", str(ini), "--seed", "5",
+                 "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input width 6 cannot pass the cnn stack"]
+    _assert_no_child_left()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker is forked only where os.fork exists")
 def test_killed_worker_raises_child_process_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mining, "select_discriminative",

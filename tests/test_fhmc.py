@@ -311,8 +311,7 @@ def _rank_case(seed):
     min_nodes = int(rng.integers(1, 4))
     candidates = {}
     for fam, samples in family_train.items():
-        mined = gspan_mine([s.cfg for s in samples], 1, min_nodes, 4,
-                           classes=[fam] * len(samples), sample_ids=[s.id for s in samples])
+        mined = gspan_mine(samples, 1, min_nodes, 4)
         candidates[fam] = [p for p in mined if rng.random() < 0.7]
     benign = [sample(f"b{i:02d}", random_cfg(rng, n_lo=3, n_hi=9, n_labels=2), SampleClass.BENIGN)
               for i in range(12)]

@@ -324,6 +324,18 @@ class TestDot:
         assert time.perf_counter() - t0 < 2.0
         assert g.node_count == n and g.exits == frozenset({n - 1})
 
+    @pytest.mark.parametrize("text", [
+        # a statement padded with 2,000 spaces (cubic under three adjacent \s*)
+        pytest.param("digraph { 0" + " " * 2_000 + "x }", id="padded_statement"),
+        # 64K keywords and no brace (quadratic under a searched header regex)
+        pytest.param("digraph " * 65_536, id="repeated_keyword"),
+    ])
+    def test_hostile_text_refused_in_linear_time(self, text):
+        t0 = time.perf_counter()
+        with pytest.raises(GraphError):
+            parse_dot(text)
+        assert time.perf_counter() - t0 < 2.0
+
 
 class TestFlowGraph:
     def test_entry_and_exits_follow_the_rule(self, rng):

@@ -27,7 +27,7 @@ from cfgsentinel.mining import (
     string_to_code,
     write_patterns,
 )
-from conftest import cycle_graph, path_graph, random_cfg, tiny_cfg
+from conftest import as_samples, cycle_graph, path_graph, random_cfg, tiny_cfg
 from fuzz import FUZZ, documents
 import oracles
 
@@ -107,7 +107,7 @@ class TestGspanAgainstBruteForce:
         rng = np.random.default_rng(seed + 7000)
         graphs = self.corpus(rng, n_graphs=int(rng.integers(3, 7)), max_nodes=5)
         min_sup = int(rng.integers(2, len(graphs) + 1))
-        mined = gspan_mine(graphs, min_support=min_sup, min_nodes=1, max_nodes=4)
+        mined = gspan_mine(as_samples(graphs), min_support=min_sup, min_nodes=1, max_nodes=4)
         want = oracles.brute_force_mine(graphs, min_sup, 1, 4)
 
         got = {}
@@ -122,32 +122,32 @@ class TestGspanAgainstBruteForce:
         # a graph with the pattern twice still contributes support 1
         host = g([(0, 1), (1, 2), (2, 1), (3, 2)],
                  [(0, 1), (0, 2), (2, 3)], exits={1, 3})
-        mined = gspan_mine([host, host], min_support=2, min_nodes=2, max_nodes=2)
+        mined = gspan_mine(as_samples([host, host]), min_support=2, min_nodes=2, max_nodes=2)
         for p in mined:
             assert p.total_support == 2
 
     def test_size_band_respected(self, rng):
         graphs = self.corpus(rng, 4, 6)
-        for p in gspan_mine(graphs, 2, min_nodes=2, max_nodes=3):
+        for p in gspan_mine(as_samples(graphs), 2, min_nodes=2, max_nodes=3):
             assert 2 <= p.node_count <= 3
 
     def test_per_class_support(self):
         a = path_graph((1, 1))
         b = path_graph((1, 1))
         c = path_graph((2, 2))
-        pats = gspan_mine([a, b, c], min_support=1, min_nodes=2, max_nodes=2,
-                          classes=["X", "X", "Y"], sample_ids=["a", "b", "c"])
+        samples = as_samples([a, b, c], ["FamilyA", "FamilyA", "FamilyB"], ["a", "b", "c"])
+        pats = gspan_mine(samples, min_support=1, min_nodes=2, max_nodes=2)
         by_code = {p.code: p for p in pats}
         edge11 = canonical_dfs_code(a)
-        assert by_code[edge11].support == {"X": 2}
-        assert by_code[edge11].supporting_ids == {"X": frozenset({"a", "b"})}
+        assert by_code[edge11].support == {"FamilyA": 2}
+        assert by_code[edge11].supporting_ids == {"FamilyA": frozenset({"a", "b"})}
 
     def test_support_counts_graphs_not_ids(self):
         # two graphs under one sample id are two graphs of support
-        pats = gspan_mine([path_graph((1, 1)), path_graph((1, 1))], min_support=2,
-                          min_nodes=2, max_nodes=2, classes=["X", "X"], sample_ids=["a", "a"])
+        pats = gspan_mine(as_samples([path_graph((1, 1)), path_graph((1, 1))], ids=["a", "a"]),
+                          min_support=2, min_nodes=2, max_nodes=2)
         assert [(p.support, p.supporting_ids) for p in pats] == [
-            ({"X": 2}, {"X": frozenset({"a"})})]
+            ({"Benign": 2}, {"Benign": frozenset({"a"})})]
 
     def test_max_nodes_1_mines_no_arc(self):
         # an arc's two vertices are over the band, a self-loop's one is not
@@ -155,15 +155,15 @@ class TestGspanAgainstBruteForce:
         graphs = [random_cfg(rng, n_lo=2, n_hi=5, p=2.0, n_labels=2, self_loops=True)
                   for _ in range(5)]
         got = {oracles.iso_key(dict(p.graph.nodes), set(p.graph.edges)): p.total_support
-               for p in gspan_mine(graphs, min_support=2, min_nodes=1, max_nodes=1)}
+               for p in gspan_mine(as_samples(graphs), min_support=2, min_nodes=1, max_nodes=1)}
         assert got == oracles.brute_force_mine(graphs, 2, 1, 1)
-        assert any(p.graph.edges for p in gspan_mine(graphs, 2, 1, 1))
+        assert any(p.graph.edges for p in gspan_mine(as_samples(graphs), 2, 1, 1))
 
     def test_bad_params_rejected(self):
         with pytest.raises(MiningError):
-            gspan_mine([path_graph()], min_support=0, min_nodes=1, max_nodes=3)
+            gspan_mine(as_samples([path_graph()]), min_support=0, min_nodes=1, max_nodes=3)
         with pytest.raises(MiningError):
-            gspan_mine([path_graph()], min_support=1, min_nodes=4, max_nodes=3)
+            gspan_mine(as_samples([path_graph()]), min_support=1, min_nodes=4, max_nodes=3)
         with pytest.raises(MiningError):
             gspan_mine([], min_support=1, min_nodes=1, max_nodes=3)
 
@@ -353,7 +353,7 @@ def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
 class TestPatternIO:
     def test_round_trip(self, rng):
         graphs = [tiny_cfg(rng, max_nodes=5, n_labels=2) for _ in range(4)]
-        pats = gspan_mine(graphs, min_support=2, min_nodes=1, max_nodes=3)
+        pats = gspan_mine(as_samples(graphs), min_support=2, min_nodes=1, max_nodes=3)
         if not pats:
             pytest.skip("empty mine on this seed")
         path_ = None
@@ -375,7 +375,7 @@ class TestPatternIO:
         assert "node_count" not in Pattern.__dataclass_fields__
 
     def test_mining_builds_no_graph(self):
-        pats = gspan_mine([path_graph((0, 1, 0)), cycle_graph(3)], 1, 1, 3)
+        pats = gspan_mine(as_samples([path_graph((0, 1, 0)), cycle_graph(3)]), 1, 1, 3)
         assert pats and not any("graph" in vars(p) for p in pats)
 
 
@@ -387,7 +387,8 @@ def _written(patterns) -> dict:
 
 
 # Entries: the single vertex, the arc 0,1,0,0,0, the 3-path and the 3-cycle.
-GOOD_PATTERN_DOC = _written(gspan_mine([path_graph((0, 0, 0)), cycle_graph(3)], 1, 1, 3))
+GOOD_PATTERN_DOC = _written(
+    gspan_mine(as_samples([path_graph((0, 0, 0)), cycle_graph(3)]), 1, 1, 3))
 
 
 def _arc(**fields):
@@ -550,11 +551,10 @@ def _mining_trace(seed: int) -> str:
         report=lambda code, held: events.append(("report", code, held_sets(held))),
         prune=visit,
     )
-    for p in gspan_mine(graphs, 2, 1, 5, classes=classes, sample_ids=ids):
+    samples = as_samples(graphs, classes, ids)
+    for p in gspan_mine(samples, 2, 1, 5):
         events.append(("gspan", p.code, sorted(p.support.items()),
                        sets(p.supporting_ids)))
-    samples = [LabeledSample(id=i, cfg=cfg, cls=SampleClass.from_string(c))
-               for i, cfg, c in zip(ids, graphs, classes)]
     for p in select_discriminative(samples, "FamilyA", 2, 1, 5, top_k=None):
         events.append(("cork", p.code, p.quality, sorted(p.support.items())))
     return hashlib.sha256(repr(events).encode()).hexdigest()

@@ -243,6 +243,30 @@ class TestTraining:
         with pytest.raises(nn.TrainingError, match=message):
             nn.train(X, y, ("n", "p"), **kwargs)
 
+    @pytest.mark.parametrize("X, y, names, arch, message", [
+        pytest.param(np.full((4, 23), np.nan), [0, 1, 0, 1], ("a", "b"), "dnn",
+                     "X must be finite", id="nan_X"),
+        pytest.param(np.full((4, 23), -np.inf), [0, 1, 0, 1], ("a", "b"), "dnn",
+                     "X must be finite", id="inf_X"),
+        pytest.param(np.eye(4, 23), [0, 1, 0, 1.5], ("a", "b"), "dnn",
+                     "labels must be integers", id="float_label"),
+        pytest.param(np.eye(4, 23), [0, 0, 0, 0], ("a",), "dnn",
+                     "at least two strings", id="one_class"),
+        pytest.param(np.eye(4, 23), [0, 1, 0, 1], (0, 1), "dnn",
+                     "at least two strings", id="int_class_names"),
+        pytest.param(np.eye(4, 6), [0, 1, 0, 1], ("a", "b"), "cnn",
+                     "input width 6 cannot pass the cnn stack", id="narrow_rows"),
+        pytest.param(np.zeros((4, 0)), [0, 1, 0, 1], ("a", "b"), "dnn",
+                     "empty training set", id="no_features"),
+    ])
+    def test_bad_inputs_refused_before_any_work(self, monkeypatch, X, y, names, arch,
+                                                message):
+        # the rules a model and its checkpoint need: each case once trained
+        # silently, or failed with another error than TrainingError
+        monkeypatch.setattr(nn, "build_model", lambda *a: pytest.fail("training started"))
+        with pytest.raises(nn.TrainingError, match=message):
+            nn.train(X, np.array(y), names, arch=arch, epochs=1)
+
     @pytest.mark.parametrize("arch", nn.ARCHITECTURES)
     def test_divergence_raises_only_training_error(self, arch):
         # a numpy warning would be raised here before the loss check
@@ -647,6 +671,18 @@ class TestCheckpoint:
         nn.save_checkpoint(m, p)
         p.write_bytes(rewrite_header(p.read_bytes(), MALFORMED_HEADERS[defect]))
         with pytest.raises(nn.ModelIOError):
+            nn.load_checkpoint(p)
+
+    def test_one_class_header_refused_by_its_field_rule(self, tmp_path):
+        # shapes and payload fit a one-output model: the class count alone is bad
+        shapes = nn._param_shapes("dnn", 23, 1)
+        header = {"arch": "dnn", "class_names": ["a"], "input_width": 23,
+                  "num_classes": 1, "scaler": False, "shapes": shapes}
+        blob = json.dumps(header).encode()
+        payload = bytes(8 * sum(math.prod(s) for s in shapes))
+        p = tmp_path / "one.ckpt"
+        p.write_bytes(nn.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+        with pytest.raises(nn.ModelIOError, match="bad checkpoint header field 'num_classes'"):
             nn.load_checkpoint(p)
 
     @pytest.mark.parametrize("shapes", [

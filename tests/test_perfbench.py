@@ -86,3 +86,24 @@ def test_restated_settings_are_the_librarys(monkeypatch):
         assert {key: cfg[key[0]][key[1]] for key in restated} == restated
     finally:
         sys.modules.pop("workloads", None)
+
+
+def test_traced_mine_operation_is_correct(perfbench_modules, tmp_path):
+    # one `mine` operation as the traced benchmark run makes it, so a change
+    # to how the library is called fails here and not only in that run
+    layers, tracer = perfbench_modules
+    import workloads
+
+    try:
+        mine = workloads.Mine()
+        state = mine.setup(7, tmp_path / "setup", 0)
+        T = tracer.Tracer()
+        patch = layers.instrument(T)
+        try:
+            op = mine.op(state, tmp_path, 0)
+        finally:
+            patch.restore()
+        assert not op.failures
+        assert not mine.check_counts(T, op)
+    finally:
+        sys.modules.pop("workloads", None)

@@ -8,7 +8,7 @@ import pytest
 from cfgsentinel.features import FEATURE_NAMES, extract_features
 from cfgsentinel.isomorphism import is_subgraph, match_count
 from cfgsentinel.mining import canonical_dfs_code, gspan_mine
-from conftest import random_cfg, relabeled, tiny_cfg
+from conftest import as_samples, random_cfg, relabeled, tiny_cfg
 from test_features import bits
 
 BETWEENNESS = np.array([name.startswith("betweenness_") for name in FEATURE_NAMES])
@@ -51,7 +51,7 @@ def test_canonical_code(rng, shuffle):
 def test_gspan_mine(rng, shuffle):
     def mined(graphs):
         return [(p.code, p.support, p.supporting_ids)
-                for p in gspan_mine(graphs, min_support=2, min_nodes=1, max_nodes=4)]
+                for p in gspan_mine(as_samples(graphs), min_support=2, min_nodes=1, max_nodes=4)]
 
     for _ in range(10):
         graphs = [random_cfg(rng, n_lo=3, n_hi=8, p=1.5, n_labels=2, self_loops=True)
