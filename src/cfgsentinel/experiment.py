@@ -266,8 +266,16 @@ def _beside(work: Callable[[], object], main: Callable[[], object]) -> tuple:
 
 def run(out: str | Path, seed: int, sections: Sections | None = None) -> dict:
     """Run the full experiment under `out` with the INI `sections` (checked
-    by `settings`); returns the in-memory results."""
+    by `settings`, and a `[rank] k` that can feed the screen's cnn, before
+    anything is written); returns the in-memory results."""
     cfg = settings(sections or {})
+    # The screen is a cnn over the ranked patterns' bits, at most k per family.
+    bits = len(fhmc.FAMILY_CLASSES) * cfg["rank"]["k"]
+    try:
+        nn.cnn_width_chain(bits)
+    except nn.ModelIOError as e:
+        raise corpus.CorpusError(f"[rank] k = {cfg['rank']['k']} ranks at most {bits} "
+                                 f"patterns, too few for the screen ({e})") from None
     out = Path(out)
 
     # -- corpus and features -------------------------------------------------

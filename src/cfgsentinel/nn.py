@@ -13,16 +13,22 @@ softmax with categorical cross-entropy.  For width 23 the cnn activation
 widths are 23, 21, 10, 10, 8, 4 with a flatten of 92*4 = 368.  Training is
 Adam (lr 1e-3, betas 0.9/0.999, eps 1e-8), 100 epochs, batch 32, and is
 bit-reproducible for a fixed seed.  A layer holds only its weights:
-`forward(x, rng)` returns its output and the cache `backward(dout, cache)`
-reads, and dropout acts only when given an rng.
+`forward(x, rng, pool)` returns its output and the cache
+`backward(dout, cache, pool)` reads, and dropout acts only when given an rng.
+Given a one-thread `pool` (a `concurrent.futures` executor), conv and dense
+layers hand half of their work to its thread; each element still takes the
+same operations in the same order, so the bits do not depend on the pool.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import math
 import os
 import struct
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -49,6 +55,31 @@ def _glorot(rng: Optional[np.random.Generator], shape: tuple[int, ...], fan_in: 
         return np.empty(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _beside(pool: Optional[Executor], work, here) -> tuple:
+    """(work(), here()).  With a pool, work() runs on its thread, in a copy of
+    this context (numpy's error state included), while here() runs here;
+    without one, work() runs first.  Both have ended when this returns or
+    raises."""
+    if pool is None:
+        return work(), here()
+    future = pool.submit(contextvars.copy_context().run, work)
+    try:
+        mine = here()
+    finally:
+        wait((future,))
+    return future.result(), mine
+
+
+def _halves(pool: Optional[Executor], fn, *arrays) -> None:
+    """fn(*arrays); with a pool, fn of the first half of each array (along
+    the batch axis) on its thread while fn of the second half runs here."""
+    h = len(arrays[0]) // 2
+    if pool is None or h == 0:
+        fn(*arrays)
+    else:
+        _beside(pool, lambda: fn(*(a[:h] for a in arrays)), lambda: fn(*(a[h:] for a in arrays)))
 
 
 class _Layer:
@@ -82,15 +113,33 @@ class Dense(_Weighted):
     def __init__(self, rng, n_in: int, n_out: int):
         super().__init__(rng, (n_out, n_in), n_in, n_out)
 
-    def forward(self, x, rng):
-        y = x @ self.W.T
-        y += self.b
+    def forward(self, x, rng, pool=None):
+        y = np.empty((len(x), len(self.W)))
+
+        def rows(x, y):
+            np.matmul(x, self.W.T, out=y)
+            y += self.b
+
+        # A small product's rounding can depend on its row count (one row is
+        # a GEMV, and OpenBLAS switches kernels near 10^6 multiply-adds), so
+        # only a large layer's halves of at least two rows are split.
+        split = len(x) >= 4 and self.W.size >= SPLIT_MIN_WEIGHTS
+        _halves(pool if split else None, rows, x, y)
         return y, x
 
-    def backward(self, dout, x):
-        self.dW = np.matmul(dout.T, x, out=self.dW)
+    def backward(self, dout, x, pool=None, input_grad=True):
+        """The input gradient, computed here while the pool's thread computes
+        `dW`; None when `input_grad` is false (the model's first layer)."""
         self.db = dout.sum(axis=0)
-        return dout @ self.W
+
+        def dW():
+            return np.matmul(dout.T, x, out=self.dW)
+
+        if not input_grad:
+            self.dW = dW()
+            return None
+        self.dW, dx = _beside(pool, dW, lambda: dout @ self.W)
+        return dx
 
 
 class Conv1D(_Weighted):
@@ -100,35 +149,52 @@ class Conv1D(_Weighted):
         super().__init__(rng, (c_out, c_in, k), c_in * k, c_out * k)
         self.k, self.pad = k, pad
 
-    def forward(self, x, rng):
+    def forward(self, x, rng, pool=None):
         b, c_in, w = x.shape
         k, pad = self.k, self.pad
         w_pad = w + 2 * pad
         w_out = w_pad - k + 1
-        # im2col of the zero-padded input: (B, W_out, C_in * k), so the
-        # convolution is one matmul.  Offset o reads x[t + o - pad]; the
-        # rows where that falls into the padding are zeros.
+        W2 = self.W.reshape(self.W.shape[0], -1).T
         cols = np.empty((b, w_out, c_in * k))
-        xt = x.transpose(0, 2, 1)
-        for o in range(k):
-            lo, hi = max(0, pad - o), min(w_out, w + pad - o)
-            block = cols[:, :, o::k]
-            block[:, lo:hi] = xt[:, lo + o - pad : hi + o - pad]
-            if lo > 0:
-                block[:, :lo] = 0.0
-            if hi < w_out:
-                block[:, hi:] = 0.0
-        y = cols @ self.W.reshape(self.W.shape[0], -1).T
-        y += self.b
+        y = np.empty((b, w_out, W2.shape[1]))
+
+        def samples(x, cols, y):
+            # im2col of the zero-padded input: (B, W_out, C_in * k), so the
+            # convolution is one matmul per sample.  Offset o reads
+            # x[t + o - pad]; the rows where that falls into the padding are
+            # zeros.
+            xt = x.transpose(0, 2, 1)
+            for o in range(k):
+                lo, hi = max(0, pad - o), min(w_out, w + pad - o)
+                block = cols[:, :, o::k]
+                block[:, lo:hi] = xt[:, lo + o - pad : hi + o - pad]
+                if lo > 0:
+                    block[:, :lo] = 0.0
+                if hi < w_out:
+                    block[:, hi:] = 0.0
+            np.matmul(cols, W2, out=y)
+            y += self.b
+
+        _halves(pool, samples, x, cols, y)
         return y.transpose(0, 2, 1), cols
 
-    def backward(self, dout, cols):
+    def backward(self, dout, cols, pool=None, input_grad=True):
+        """The input gradient, from `dcols` and col2im computed here while the
+        pool's thread computes `dW`; None when `input_grad` is false."""
         b, c_out, w_out = dout.shape
         dmat = dout.transpose(0, 2, 1)  # (B, W_out, C_out)
         self.db = dout.sum(axis=(0, 2))
-        self.dW = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(self.W.shape)
-        # dcols (B, W_out, C_in * k) takes over the im2col buffer: dW read it last
-        dcols = np.matmul(dmat, self.W.reshape(c_out, -1), out=cols)
+
+        def dW():
+            return np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(self.W.shape)
+
+        if not input_grad:
+            self.dW = dW()
+            return None
+        # dcols (B, W_out, C_in * k) takes over the im2col buffer once dW has
+        # read it; beside the pool's dW it needs a buffer of its own
+        self.dW, dcols = _beside(pool, dW, lambda: np.matmul(
+            dmat, self.W.reshape(c_out, -1), out=None if pool else cols))
         c_in = self.W.shape[1]
         dxp = np.zeros((b, c_in, w_out + self.k - 1))
         for o in range(self.k):
@@ -145,13 +211,13 @@ class MaxPool1D(_Layer):
     argmax is the mask odd > even: a tie, signed zeros included, goes to
     the even element, as with argmax over a length-2 axis."""
 
-    def forward(self, x, rng):
+    def forward(self, x, rng, pool=None):
         w = 2 * (x.shape[2] // 2)
         even, odd = x[:, :, 0:w:2], x[:, :, 1:w:2]
         arg = odd > even
         return np.maximum(even, odd), (arg, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, pool=None):
         arg, shape = cache
         full = np.zeros(shape)
         w = 2 * dout.shape[2]
@@ -164,11 +230,11 @@ class ReLU(_Layer):
     """Multiplies by its mask in place: its input in forward, the incoming
     gradient in backward, both arrays the previous layer made for it."""
 
-    def forward(self, x, rng):
+    def forward(self, x, rng, pool=None):
         mask = x > 0
         return np.multiply(x, mask, out=x), mask
 
-    def backward(self, dout, mask):
+    def backward(self, dout, mask, pool=None):
         return np.multiply(dout, mask, out=dout)
 
 
@@ -179,21 +245,21 @@ class Dropout(_Layer):
     def __init__(self, p: float):
         self.p = p
 
-    def forward(self, x, rng):
+    def forward(self, x, rng, pool=None):
         if rng is None:
             return x, None
         mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
         return np.multiply(x, mask, out=x), mask
 
-    def backward(self, dout, mask):
+    def backward(self, dout, mask, pool=None):
         return dout if mask is None else np.multiply(dout, mask, out=dout)
 
 
 class Flatten(_Layer):
-    def forward(self, x, rng):
+    def forward(self, x, rng, pool=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, shape):
+    def backward(self, dout, shape, pool=None):
         return dout.reshape(shape)
 
 
@@ -331,14 +397,17 @@ class Model:
     def predict_class(self, x: np.ndarray) -> str:
         return self.class_names[int(self.predict(x)[0])]
 
-    def loss_and_grads(self, X_scaled: np.ndarray, y: np.ndarray, rng=None) -> float:
+    def loss_and_grads(self, X_scaled: np.ndarray, y: np.ndarray, rng=None,
+                       pool: Optional[Executor] = None) -> float:
         """Mean cross-entropy of a forward and backward pass on already-scaled
         inputs, the gradients left in the layers' `dW` and `db`; dropout acts
-        only when given `rng`.  Each cache lives from its forward to its backward."""
+        only when given `rng`, and the layers share their work with `pool`.
+        Each cache lives from its forward to its backward.  The input's own
+        gradient is not computed."""
         x = X_scaled[:, None, :] if self.arch == "cnn" else X_scaled
         caches = []
         for layer in self.layers:
-            x, cache = layer.forward(x, rng)
+            x, cache = layer.forward(x, rng, pool)
             caches.append(cache)
         probs = softmax(x)
         batch = len(y)
@@ -347,8 +416,9 @@ class Model:
         dlogits[np.arange(batch), y] -= 1.0
         dlogits /= batch
         grad = dlogits
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad, caches.pop())
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad, caches.pop(), pool)
+        self.layers[0].backward(grad, caches.pop(), pool, input_grad=False)
         return float(loss)
 
     def param_arrays(self) -> list[np.ndarray]:
@@ -424,6 +494,12 @@ ADAM_CHUNK = 32768
 # "Adam: A Method for Stochastic Optimization" (ICLR 2015).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 DEFAULT_EPOCHS, DEFAULT_BATCH_SIZE, DEFAULT_LR = 100, 32, 1e-3  # the `[train]` defaults
+# Weights from which a model's training steps, and a dense layer's forward,
+# repay handing half of their work to a helper thread: at 1 BLAS thread on 2
+# CPUs a width-23 cnn (234,804 weights) gained nothing, a width-50 one
+# (564,532) trained 22 % faster.  Halves of two or more rows of a dense
+# layer this large also stay above OpenBLAS's small-matrix kernels.
+SPLIT_MIN_WEIGHTS = 1 << 19
 
 
 class Adam:
@@ -440,33 +516,61 @@ class Adam:
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         size = min(ADAM_CHUNK, max((p.size for p in self.params), default=0))
-        self._s1, self._s2 = np.empty(size), np.empty(size)
+        # two scratch buffers for the chunks swept here, two for a pool's thread
+        self._scratch = np.empty((2, 2, size))
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]):
+    def step(self, grads: list[np.ndarray], pool: Optional[Executor] = None):
+        """One update; with a pool, its thread sweeps the first half of the chunks."""
         self.t += 1
+        c1, c2 = 1 - ADAM_BETA1 ** self.t, 1 - ADAM_BETA2 ** self.t
+        chunks = [tuple(a[lo : lo + ADAM_CHUNK] for a in (p, g.reshape(-1), m, v))
+                  for p, g, m, v in zip(self.params, grads, self.m, self.v)
+                  for lo in range(0, p.size, ADAM_CHUNK)]
+        half = len(chunks) // 2 if pool else 0
+        _beside(pool, lambda: self._sweep(chunks[:half], self._scratch[1], c1, c2),
+                lambda: self._sweep(chunks[half:], self._scratch[0], c1, c2))
+
+    def _sweep(self, chunks, scratch, c1, c2):
         b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            g = g.reshape(-1)
-            for lo in range(0, p.size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, p.size)
-                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-                s1, s2 = self._s1[: hi - lo], self._s2[: hi - lo]
-                np.multiply(mc, b1, out=mc)
-                np.multiply(gc, 1 - b1, out=s1)
-                np.add(mc, s1, out=mc)
-                np.multiply(vc, b2, out=vc)
-                np.multiply(gc, 1 - b2, out=s1)
-                np.multiply(s1, gc, out=s1)
-                np.add(vc, s1, out=vc)
-                np.divide(vc, c2, out=s1)
-                np.sqrt(s1, out=s1)
-                np.add(s1, eps, out=s1)
-                np.divide(mc, c1, out=s2)
-                np.multiply(s2, lr, out=s2)
-                np.divide(s2, s1, out=s2)
-                np.subtract(pc, s2, out=pc)
+        for pc, gc, mc, vc in chunks:
+            s1, s2 = scratch[0, : pc.size], scratch[1, : pc.size]
+            np.multiply(mc, b1, out=mc)
+            np.multiply(gc, 1 - b1, out=s1)
+            np.add(mc, s1, out=mc)
+            np.multiply(vc, b2, out=vc)
+            np.multiply(gc, 1 - b2, out=s1)
+            np.multiply(s1, gc, out=s1)
+            np.add(vc, s1, out=vc)
+            np.divide(vc, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, eps, out=s1)
+            np.divide(mc, c1, out=s2)
+            np.multiply(s2, lr, out=s2)
+            np.divide(s2, s1, out=s2)
+            np.subtract(pc, s2, out=pc)
+
+
+def _one_blas_thread() -> bool:
+    """Whether the environment asks BLAS for one thread.  As OpenBLAS reads
+    them, the first of its variables set to a count of at least 1 decides;
+    with none, BLAS uses every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) >= 1:
+            return int(value) == 1
+    return False
+
+
+def _helper(model: Model):
+    """A one-thread pool for `model`'s training steps, or a null context
+    (None).  The helper runs only beside one BLAS thread, with at least two
+    CPUs this process may use and a model of SPLIT_MIN_WEIGHTS or more."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    weights = sum(p.size for p in model.param_arrays())
+    if cpus >= 2 and _one_blas_thread() and weights >= SPLIT_MIN_WEIGHTS:
+        return ThreadPoolExecutor(1, thread_name_prefix="nn.train helper")
+    return contextlib.nullcontext()
 
 
 def train(
@@ -528,16 +632,17 @@ def train(
     n = len(Xs)
     # A diverging run overflows before its loss turns non-finite; that check
     # is the one report, so numpy's warnings are silenced, not its results.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # The helper thread, if any, is joined before train returns or raises.
+    with _helper(model) as pool, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(epochs):
             perm = rng.permutation(n)
             total = 0.0
             for start in range(0, n, batch_size):
                 idx = perm[start : start + batch_size]
-                loss = model.loss_and_grads(Xs[idx], y[idx], rng)
+                loss = model.loss_and_grads(Xs[idx], y[idx], rng, pool)
                 if not np.isfinite(loss):
                     raise TrainingError("non-finite training loss")
-                opt.step(model.grad_arrays())
+                opt.step(model.grad_arrays(), pool)
                 total += loss * len(idx)
             model.loss_history.append(total / n)
         # Every loss above was computed before its step, so the last step can

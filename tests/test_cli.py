@@ -520,16 +520,17 @@ def test_screen_error_leaves_no_attack_files(tmp_path, monkeypatch, capsys):
     assert not (out / "attacks").exists()
 
 
-def test_screen_rows_too_narrow_for_the_cnn_exit_5(tmp_path, capsys):
-    # `[rank] k = 2` ranks at most 6 patterns, and the screen's cnn needs 10
-    # bits: a training error, not a checkpoint one
-    ini = tmp_path / "k2.ini"
-    ini.write_text(TINY_INI.replace("[rank]\nk = 8\n", "[rank]\nk = 2\n"))
+def test_rank_k_too_small_for_the_screen_exits_4_before_any_work(tmp_path, capsys):
+    # `[rank] k = 3` ranks at most 9 patterns and the screen's cnn needs 10
+    # bits, so `repro` refuses the setting before it writes anything
+    ini = tmp_path / "k3.ini"
+    ini.write_text(TINY_INI.replace("[rank]\nk = 8\n", "[rank]\nk = 3\n"))
     assert main(["repro", "--config", str(ini), "--seed", "5",
-                 "--out", str(tmp_path / "run")]) == EXIT_RUNTIME
+                 "--out", str(tmp_path / "run")]) == EXIT_BAD_CONFIG
     assert capsys.readouterr().err.splitlines() == [
-        "error: input width 6 cannot pass the cnn stack"]
-    _assert_no_child_left()
+        "error: [rank] k = 3 ranks at most 9 patterns, too few for the screen "
+        "(input width 9 cannot pass the cnn stack)"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker is forked only where os.fork exists")

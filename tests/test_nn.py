@@ -1,9 +1,14 @@
+import contextlib
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ import pytest
 from cfgsentinel import nn
 
 import oracles
+from conftest import subprocess_env
 
 
 def signature(model, Xs):
@@ -288,6 +294,88 @@ class TestTraining:
                 nn.train(X, y, ("a", "b"), arch=arch, epochs=1, batch_size=16, lr=1e300)
 
 
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(
+    CPUS < 2, reason="training uses its helper thread only with two CPUs; this process may use one")
+
+# Trains cnn models at widths 23, 180 and 300 on 33, 35, 45 and 49 rows (last
+# batches of 1, 3, 13 and 17 rows, whose halves are where BLAS rounding can
+# depend on the row count) and prints, per case, whether a step was given the helper
+# and the sha256 of the weights, the loss history and predict_proba.  With
+# argument "1" the child first restricts itself to one CPU.
+_HELPER_PROGRAM = """
+import hashlib, json, os, sys
+import numpy as np
+from cfgsentinel import nn
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+helped = []
+step = nn.Adam.step
+def spy(self, grads, pool=None):
+    helped.append(pool is not None)
+    return step(self, grads, pool)
+nn.Adam.step = spy
+out = {}
+for width in (23, 180, 300):
+    for rows in (33, 35, 45, 49):
+        rng = np.random.default_rng([width, rows])
+        X = rng.integers(0, 2, size=(rows, width)).astype(float)
+        helped.clear()
+        m = nn.train(X, np.arange(rows) % 2, ("a", "b"), seed=3, epochs=2)
+        h = hashlib.sha256()
+        for a in m.param_arrays() + [np.array(m.loss_history), m.predict_proba(X)]:
+            h.update(a.tobytes())
+        out[f"{width}/{rows}"] = [any(helped), h.hexdigest()]
+print(json.dumps(out))
+"""
+
+
+class TestHelperThread:
+    """At one BLAS thread with two CPUs, a large model's training steps
+    share their work with one helper thread."""
+
+    @needs_two_cpus
+    def test_helper_and_serial_paths_give_the_same_bytes(self):
+        runs = {}
+        for cpus in ("2", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", _HELPER_PROGRAM, cpus],
+                env=subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                                   MKL_NUM_THREADS="1"),
+                capture_output=True, text=True, check=True, timeout=600,
+            )
+            runs[cpus] = json.loads(done.stdout)
+        assert {case: helped for case, (helped, _) in runs["2"].items()} == {
+            f"{width}/{rows}": width > 23 for width in (23, 180, 300) for rows in (33, 35, 45, 49)}
+        assert not any(helped for helped, _ in runs["1"].values())
+        assert ({case: digest for case, (_, digest) in runs["2"].items()}
+                == {case: digest for case, (_, digest) in runs["1"].items()})
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("lr, error", [(1e-3, None), (1e300, "non-finite training loss")],
+                             ids=["trained", "diverged"])
+    def test_no_thread_outlives_train(self, monkeypatch, lr, error):
+        # experiment.run forks its attack worker right after training; the
+        # helper also computes under train's silenced numpy warnings
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        seen = []
+        step = nn.Adam.step
+
+        def spy(self, grads, pool=None):
+            seen.extend(t.name for t in threading.enumerate())
+            return step(self, grads, pool)
+
+        monkeypatch.setattr(nn.Adam, "step", spy)
+        before = threading.enumerate()
+        X = np.random.default_rng(4).uniform(size=(40, 180))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nn.TrainingError, match=error) if error else contextlib.nullcontext():
+                nn.train(X, np.arange(40) % 2, ("a", "b"), epochs=3, lr=lr)
+        assert any(name.startswith("nn.train helper") for name in seen)
+        assert threading.enumerate() == before
+
+
 def _peak_traced_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -304,19 +392,22 @@ class TestAdam:
 
     @pytest.mark.parametrize("shapes", [[s] for s in SHAPES] + [SHAPES])
     def test_matches_textbook_bit_for_bit(self, shapes):
-        rng = np.random.default_rng(len(shapes) * 31 + shapes[0][0])
-        start = [rng.standard_normal(s) for s in shapes]
-        ours = [p.copy() for p in start]
-        ref = [p.copy() for p in start]
-        opt, oracle = nn.Adam(ours, lr=3e-3), oracles.TextbookAdam(ref, lr=3e-3)
-        for step in range(6):
-            # grads over many magnitudes, with exact zeros every third step
-            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, size=s)
-                     * (step % 3 != 2 or rng.random(s) < 0.5) for s in shapes]
-            opt.step(grads)
-            oracle.step(grads)
-            for a, b in zip(ours, ref):
-                assert a.tobytes() == b.tobytes()
+        # serially, and with a helper thread sweeping half of the chunks
+        for pool in (None, ThreadPoolExecutor(1)):
+            rng = np.random.default_rng(len(shapes) * 31 + shapes[0][0])
+            start = [rng.standard_normal(s) for s in shapes]
+            ours = [p.copy() for p in start]
+            ref = [p.copy() for p in start]
+            opt, oracle = nn.Adam(ours, lr=3e-3), oracles.TextbookAdam(ref, lr=3e-3)
+            with pool or contextlib.nullcontext():
+                for step in range(6):
+                    # grads over many magnitudes, with exact zeros every third step
+                    grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3, size=s)
+                             * (step % 3 != 2 or rng.random(s) < 0.5) for s in shapes]
+                    opt.step(grads, pool)
+                    oracle.step(grads)
+                    for a, b in zip(ours, ref):
+                        assert a.tobytes() == b.tobytes()
 
     def test_step_allocates_no_full_size_temporaries(self):
         p = np.zeros(2_000_000)

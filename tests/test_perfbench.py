@@ -4,12 +4,16 @@ that run, so this checks every patch point in-process: each wraps at least
 one site, and `restore` puts every original back.  The benchmark also
 restates the settings of its profile, which must be the library's."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from cfgsentinel import experiment
+
+from conftest import subprocess_env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PATCH_POINTS = 21
@@ -107,3 +111,35 @@ def test_traced_mine_operation_is_correct(perfbench_modules, tmp_path):
         assert not mine.check_counts(T, op)
     finally:
         sys.modules.pop("workloads", None)
+
+
+# One traced `experiment` operation as the traced benchmark run makes it;
+# prints the operation's failures and count mismatches as JSON.
+_TRACED_EXPERIMENT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import layers, tracer, workloads
+experiment = workloads.Experiment()
+work = Path(sys.argv[2])
+state = experiment.setup(7, work / "setup", 0)
+T = tracer.Tracer()
+patch = layers.instrument(T)
+try:
+    op = experiment.op(state, work, 0)
+finally:
+    patch.restore()
+print(json.dumps({"failures": op.failures, "counts": experiment.check_counts(T, op)}))
+"""
+
+
+def test_traced_experiment_operation_is_correct(tmp_path):
+    # Adam steps, epochs and `encode`'s is_subgraph calls are counted in the
+    # main thread of the parent process only.  The child runs at one BLAS
+    # thread, as the benchmark does, so that training takes its helper path.
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_EXPERIMENT, str(PERFBENCH), str(tmp_path)],
+        env=subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"failures": [], "counts": []}
