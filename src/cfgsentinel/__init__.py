@@ -13,8 +13,6 @@ from .graph import (
     GraphError,
     LabeledSample,
     SampleClass,
-    load_graph,
-    parse_dot,
     parse_graph,
     read_corpus,
     save_graph,
@@ -61,9 +59,7 @@ __all__ = [
     "gspan_mine",
     "is_subgraph",
     "load_checkpoint",
-    "load_graph",
     "match_count",
-    "parse_dot",
     "parse_graph",
     "rank_patterns",
     "read_corpus",

@@ -338,12 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The parsed command line.  Flags `mine` or `attack` would ignore are
-    usage errors (SystemExit 2), as argparse's own are."""
+    """The parsed command line.  Flags `mine` or `attack` would ignore or
+    mishandle are usage errors (SystemExit 2), as argparse's own are."""
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "attack" and args.patterns is not None and args.mode != "sgea":
         ap.error("attack --patterns needs --mode sgea")
+    if args.command == "attack" and Path(args.out).suffix == ".csv":
+        ap.error("attack --out names the JSON report, not the .csv written beside it")
     if args.command == "mine" and args.discriminative and not args.target:
         ap.error("mine --discriminative needs --target")
     if args.command == "mine" and args.top_k is not None and not args.discriminative:

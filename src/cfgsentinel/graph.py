@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -276,82 +275,8 @@ def serialize_graph(g: Cfg) -> str:
     return json.dumps(graph_doc(g), separators=(",", ":"), sort_keys=True)
 
 
-def load_graph(path: str | Path) -> Cfg:
-    return parse_graph(Path(path).read_text())
-
-
 def save_graph(g: Cfg, path: str | Path) -> None:
     Path(path).write_text(serialize_graph(g))
-
-
-# ---------------------------------------------------------------------------
-# DOT subset importer
-# ---------------------------------------------------------------------------
-
-# Matched in full against a statement that is stripped and split at ";", so
-# no two adjacent \s* can backtrack against each other.
-_DOT_EDGE = re.compile(r"(\d+(?:\s*->\s*\d+)+)\s*(\[[^\]]*\])?")
-_DOT_NODE = re.compile(r"(\d+)\s*(\[[^\]]*\])?")
-_DOT_LABEL = re.compile(r"label\s*=\s*\"?(\d+)\"?")
-
-
-def parse_dot(text: str) -> Cfg:
-    """Import a digraph written in a DOT subset.
-
-    Node names must be integers; a numeric `label` attribute is honored and
-    all other attributes are ignored.  Entry and exits follow `flow_graph`,
-    over the nodes in order of first mention.
-    """
-    # the body runs from the first "{" after the leftmost digraph keyword to
-    # the last "}": string searches, as one regex tried from every keyword
-    # is quadratic in repeated keywords
-    body = text
-    head = re.search(r"digraph\b", text)
-    start = text.find("{", head.end()) if head else -1
-    end = text.rfind("}")
-    if -1 < start < end:
-        body = text[start + 1:end]
-    elif "{" in text or "graph" in text:
-        raise GraphError("not a digraph document")
-
-    order: list[int] = []
-    labels: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
-
-    def note(i: int, attrs: str | None):
-        if i not in labels:
-            labels[i] = 0
-            order.append(i)
-        if attrs:
-            lm = _DOT_LABEL.search(attrs)
-            if lm:
-                labels[i] = int(lm.group(1))
-
-    for raw in body.split("\n"):
-        line = raw.strip()
-        if not line or line.startswith(("//", "#")):
-            continue
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            em = _DOT_EDGE.fullmatch(stmt)
-            if em:
-                chain = [int(tok) for tok in re.split(r"\s*->\s*", em.group(1))]
-                for u, v in zip(chain, chain[1:]):
-                    note(u, None)
-                    note(v, None)
-                    edges.add((u, v))
-                continue
-            nm = _DOT_NODE.fullmatch(stmt)
-            if nm:
-                note(int(nm.group(1)), nm.group(2))
-                continue
-            raise GraphError(f"unsupported DOT statement: {stmt!r}")
-
-    if not order:
-        raise GraphError("DOT document declares no nodes")
-    return flow_graph([(i, labels[i]) for i in order], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +312,9 @@ def write_corpus(samples: Sequence[LabeledSample], root: str | Path) -> Path:
 def read_corpus(manifest_path: str | Path) -> list[LabeledSample]:
     """Load all samples referenced by a corpus manifest: an object whose
     "samples" list holds {"id", "class", "path"} objects with string values,
-    each path a graph document inside the manifest's directory."""
+    each id free of commas, double quotes and line breaks (it is written to
+    CSV files as it is), each path a graph document inside the manifest's
+    directory."""
     manifest_path = Path(manifest_path)
     doc = read_json(manifest_path)
     if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
@@ -400,6 +327,8 @@ def read_corpus(manifest_path: str | Path) -> list[LabeledSample]:
                 and all(isinstance(entry.get(k), str) for k in ("id", "class", "path"))):
             raise GraphError("malformed manifest entry: id, class and path must be strings")
         sid, rel = entry["id"], entry["path"]
+        if any(c in sid for c in ',"\r\n'):
+            raise GraphError(f"sample id {sid!r} holds a comma, quote or line break")
         if sid in seen_ids:
             raise GraphError(f"duplicate sample id in manifest: {sid}")
         seen_ids.add(sid)

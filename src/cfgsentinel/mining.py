@@ -478,10 +478,12 @@ def select_discriminative(
     def prune(code: Code, held: list[int]) -> bool:
         # `code` and its extensions score at most ub, have some s >= lo nodes
         # and sort from `code` on: none enters a full bucket whose last key
-        # sorts before (-ub, s, code), s = lo for the one bucket of top_k
+        # sorts before (-ub, s, code), s = lo for the one bucket of top_k; a
+        # generator, so `all` stops at the first bucket not full whatever
+        # max_nodes is (no pattern outgrows the largest graph)
         lo = max(_vertex_count(code), min_nodes)
         ub = cork_upper_bound(*supports(held))
-        feeds = [(s, s) for s in range(lo, max_nodes + 1)] if per_size else [(0, lo)]
+        feeds = ((s, s) for s in range(lo, max_nodes + 1)) if per_size else [(0, lo)]
         return all(len(kept[b]) == cap and (-ub, s, code) > kept[b][-1][0] for b, s in feeds)
 
     def on_found(code: Code, held: list[int]):

@@ -15,6 +15,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -658,6 +659,9 @@ def test_refused_split_writes_nothing(tmp_path, capsys):
     pytest.param(["attack", "--mode", "sgea", "--patterns", "{0}", "{1}"], EXIT_USAGE,
                  id="two_pattern_files"),
     pytest.param(["attack", "--mode", "sgea"], EXIT_MISSING_INPUT, id="sgea_without_patterns"),
+    # the report's CSV is written beside --out with the suffix .csv
+    pytest.param(["attack", "--mode", "gea", "--out", "{out}.csv"], EXIT_USAGE,
+                 id="attack_out_is_its_csv"),
     # numpy seeds its generators with non-negative integers only
     pytest.param(["train", "--task", "detector", "--seed", "-1"], EXIT_USAGE,
                  id="train_negative_seed"),
@@ -666,15 +670,16 @@ def test_refused_split_writes_nothing(tmp_path, capsys):
 ])
 def test_flags_are_not_silently_ignored(ws, tmp_path, argv, code):
     command, *flags = argv
-    flags = [f.format(*ws["patterns"]) for f in flags]
+    out = tmp_path / "sub" / "out.json"
+    flags = [f.format(*ws["patterns"], out=out.with_suffix("")) for f in flags]
     inputs = ["--corpus", str(ws["manifest"]), "--splits", str(ws["splits"])]
     if command == "rank":
         inputs += ["--patterns", *map(str, ws["patterns"])]
     if command == "attack":
         inputs += ["--model", str(ws["detector"])]
-    out = tmp_path / "sub" / "out.json"
-    assert _run([command, "--config", str(ws["ini"]), *inputs, *flags,
-                 "--out", str(out)])[0] == code
+    # an --out among the flags comes last, so it wins
+    assert _run([command, "--config", str(ws["ini"]), *inputs, "--out", str(out),
+                 *flags])[0] == code
     # a usage error is found before the output directory is made
     assert not (out.parent if code == EXIT_USAGE else out).exists()
 
@@ -709,6 +714,13 @@ def test_readme_python_api_calls_bind():
         assert all(kw.arg for kw in call.keywords), name
         inspect.signature(getattr(cfgsentinel, name)).bind(
             *call.args, **{kw.arg: kw.value for kw in call.keywords})
+
+
+def test_package_exports_exactly_its_public_names():
+    bound = {name for name, value in vars(cfgsentinel).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(cfgsentinel.__all__)
+    assert cfgsentinel.__all__ == sorted(set(cfgsentinel.__all__))
 
 
 def test_readme_config_matches_schema():

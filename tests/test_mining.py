@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -348,6 +349,22 @@ def test_top_k_matches_cut_pool_and_prunes_by_the_rule(seed):
                    [(p.code, p.quality, p.support) for p in want]
             assert visits == oracles.top_k_search_visits(
                 events, k, per_size, min_nodes, max_nodes)
+
+
+def test_per_size_prune_cost_does_not_grow_with_max_nodes():
+    # no pattern outgrows the largest graph, so a max_nodes far above it
+    # must give the same patterns at about the same cost
+    rng = np.random.default_rng(7)
+    graphs = [random_cfg(rng, n_lo=6, n_hi=20, p=0.3, n_labels=2) for _ in range(12)]
+    samples = as_samples(graphs, ["Benign", "FamilyA"] * 6)
+    largest = max(g.node_count for g in graphs)
+    want = select_discriminative(samples, "FamilyA", 2, 3, largest, top_k=2, per_size=True)
+    t0 = time.process_time()
+    got = select_discriminative(samples, "FamilyA", 2, 3, 10**6, top_k=2, per_size=True)
+    assert time.process_time() - t0 < 3.0
+    assert [(p.code, p.quality, p.support) for p in got] == \
+           [(p.code, p.quality, p.support) for p in want]
+    assert len(want) > 2
 
 
 class TestPatternIO:
